@@ -12,7 +12,7 @@ from .anticoncentration import (
     anticoncentration_experiment,
     wilson_interval,
 )
-from .counting import CountEstimate, approx_count, noisy_scale
+from .counting import noisy_scale
 from .errors import (
     InvalidMonomialError,
     NumericalCheckError,
@@ -64,6 +64,8 @@ from .statevector import (
     run_fold_sampler_circuit,
     run_roots_sampler_circuit,
     run_squashed_sampler_circuit,
+    squashed_circuit_state,
+    squashed_measurement_distribution,
 )
 from .tables import (
     ProbabilityTable,
@@ -79,6 +81,7 @@ from .tables import (
     sample_binomial_assignment,
     sample_binomial_value,
     sample_from_table,
+    squashed_points,
     squashed_value,
     tv_distance,
     variance,

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, sqrt
+from math import sqrt
 
 from .errors import SizeGuardError
 from .evaluate import evaluate_values_by_enumeration, evaluate_values_fast
 from .families import Assignment, PolynomialSpec
 from .rng import RandomSource, as_random_source
-from .tables import sample_binomial_value
+from .tables import sample_binomial_value, squashed_points
 
 EXHAUSTIVE_GUARD = 1 << 22
 DEFAULT_THRESHOLDS = (0.5, 0.25, 0.125, 0.0625)
@@ -140,26 +140,18 @@ def anticoncentration_experiment(
 def _exhaustive_points(spec: PolynomialSpec, mode: str, param: int, evaluate):
     """(squared value, probability weight) for every point of the input space."""
     n = spec.n_vars
+    size = param**n if mode == "roots" else (param + 1) ** n
+    if size > EXHAUSTIVE_GUARD:
+        raise SizeGuardError(f"exhaustive space of {size} points exceeds guard {EXHAUSTIVE_GUARD}")
+    out = []
     if mode == "roots":
-        size = param**n
-        if size > EXHAUSTIVE_GUARD:
-            raise SizeGuardError(f"exhaustive space of {size} points exceeds guard {EXHAUSTIVE_GUARD}")
         weight = Fraction(1, size)
-        out = []
         for digits in product(range(param), repeat=n):
             q = evaluate(spec, Assignment.roots(param, digits).numeric_values())
             out.append((q * q if param == 2 else abs(q) ** 2, weight))
         return out
-    size = (param + 1) ** n
-    if size > EXHAUSTIVE_GUARD:
-        raise SizeGuardError(f"exhaustive space of {size} points exceeds guard {EXHAUSTIVE_GUARD}")
     denom = 2 ** (param * n)
-    out = []
-    for classes in product(range(param + 1), repeat=n):
-        vals = [2 * c - param for c in classes]
-        orbit = 1
-        for c in classes:
-            orbit *= comb(param, c)
+    for vals, orbit in squashed_points(n, param):
         q = evaluate(spec, vals)
         out.append((q * q, Fraction(orbit, denom)))
     return out

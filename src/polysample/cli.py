@@ -36,11 +36,11 @@ from .rng import RandomSource
 from .squashed import build_squashed_transform, unitarity_residual
 from .statevector import (
     apply_qft,
-    apply_single_qudit_gate,
     measurement_distribution,
     prepare_monomial_superposition,
     run_fold_sampler_circuit,
-    run_squashed_sampler_circuit,
+    squashed_circuit_state,
+    squashed_measurement_distribution,
 )
 from .tables import (
     ProbabilityTable,
@@ -48,7 +48,7 @@ from .tables import (
     exact_table_fold,
     exact_table_roots,
     exact_table_squashed,
-    orbit_weight,
+    squashed_points,
     tv_distance,
     variance,
 )
@@ -118,15 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist = top.add_parser("dist", help="exact target distributions")
     dist_sub = dist.add_subparsers(dest="action", required=True)
-    p = _sub(dist_sub, "roots", cmd_dist_roots, "dist roots")
+    p = _sub(dist_sub, "roots", cmd_dist_roots, "dist roots", tabular=True)
     _spec_flags(p)
     p.add_argument("--ell", type=int, required=True)
     _guard_flag(p)
-    p = _sub(dist_sub, "squashed", cmd_dist_squashed, "dist squashed")
+    p = _sub(dist_sub, "squashed", cmd_dist_squashed, "dist squashed", tabular=True)
     _spec_flags(p)
     p.add_argument("--k", type=int, required=True)
     _guard_flag(p)
-    p = _sub(dist_sub, "fold", cmd_dist_fold, "dist fold")
+    p = _sub(dist_sub, "fold", cmd_dist_fold, "dist fold", tabular=True)
     _fold_flags(p)
     p = _sub(dist_sub, "variance", cmd_dist_variance, "dist variance")
     _spec_flags(p)
@@ -135,33 +135,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = top.add_parser("sim", help="statevector circuit simulation with self-checks")
     sim_sub = sim.add_subparsers(dest="action", required=True)
-    p = _sub(sim_sub, "es", cmd_sim_es, "sim es")
+    p = _sub(sim_sub, "es", cmd_sim_es, "sim es", tabular=True)
     _spec_flags(p)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--check-tv", action="store_true", help="accepted for compatibility; the TV check always runs")
     p.add_argument("--dump-state", help="write the pre-measurement statevector JSON here")
     _guard_flag(p)
-    p = _sub(sim_sub, "squashed", cmd_sim_squashed, "sim squashed")
+    p = _sub(sim_sub, "squashed", cmd_sim_squashed, "sim squashed", tabular=True)
     _spec_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dump-state", help="write the pre-measurement statevector JSON here")
     _guard_flag(p)
-    p = _sub(sim_sub, "fold", cmd_sim_fold, "sim fold")
+    p = _sub(sim_sub, "fold", cmd_sim_fold, "sim fold", tabular=True)
     _fold_flags(p)
 
     squash = top.add_parser("squash", help="the squashed symmetric transform")
     squash_sub = squash.add_subparsers(dest="action", required=True)
     p = _sub(squash_sub, "matrix", cmd_squash_matrix, "squash matrix")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="accepted for compatibility; verification always runs")
 
     reduce_ = top.add_parser("reduce", help="sampler-to-estimator reduction experiments")
     reduce_sub = reduce_.add_subparsers(dest="action", required=True)
-    p = _sub(reduce_sub, "additive", cmd_reduce_additive, "reduce additive")
+    p = _sub(reduce_sub, "additive", cmd_reduce, "reduce additive", tabular=True)
     _spec_flags(p)
     p.add_argument("--ell", type=int, required=True)
     _reduction_flags(p)
-    p = _sub(reduce_sub, "squashed", cmd_reduce_squashed, "reduce squashed")
+    p = _sub(reduce_sub, "squashed", cmd_reduce, "reduce squashed", tabular=True)
     _spec_flags(p)
     p.add_argument("--k", type=int, required=True)
     _reduction_flags(p)
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-n-power", type=float, default=2.0, help="a in p(n, 1/delta)")
     p.add_argument("--p-delta-power", type=float, default=1.0, help="b in p(n, 1/delta)")
 
-    p = _sub(top, "anticon", cmd_anticon, "anticon")
+    p = _sub(top, "anticon", cmd_anticon, "anticon", tabular=True)
     _spec_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="blockwise-binomial integer inputs")
@@ -192,15 +190,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sub(subparsers, name, handler, command_path):
+def _sub(subparsers, name, handler, command_path, tabular=False):
     p = subparsers.add_parser(name)
     p.set_defaults(handler=handler, command_path=command_path)
-    p.add_argument("--seed", type=int, default=int(os.environ.get(ENV_SEED, "0")))
+    # argparse runs a string default through ``type``: a bad environment seed is a usage error.
+    p.add_argument("--seed", type=_seed, default=os.environ.get(ENV_SEED, "0"))
     p.add_argument("--output", help="write the document here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (execution is sequential; results never depend on this)")
+    p.add_argument("--format", choices=["json", "csv"] if tabular else ["json"], default="json")
     return p
+
+
+def _seed(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid seed {text!r}: --seed and {ENV_SEED} take an integer"
+        ) from None
 
 
 def _spec_flags(p):
@@ -264,11 +270,6 @@ def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _validate_threads(args):
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
-
-
 def _echo_params(args) -> dict:
     skip = {"handler", "command_path", "group", "action", "seed", "output", "format"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -276,8 +277,6 @@ def _echo_params(args) -> dict:
 
 def _write_output(args, doc, projection) -> None:
     if args.format == "csv":
-        if projection is None:
-            raise SystemExit("csv projection is not available for this command")
         text = projection()
     else:
         text = json.dumps(doc, indent=2) + "\n"
@@ -313,7 +312,6 @@ def _rows_projection(header, rows):
 
 
 def cmd_poly_info(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     results = {
         "spec": spec.describe(),
@@ -325,7 +323,6 @@ def cmd_poly_info(args):
 
 
 def cmd_poly_eval(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     values = _parse_int_list(args.values)
     if args.mode == "root":
@@ -350,7 +347,6 @@ def cmd_poly_eval(args):
 
 
 def cmd_poly_rank(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     mask = mask_from_string(args.mask)
     index = index_of_monomial(spec, mask)
@@ -361,7 +357,6 @@ def cmd_poly_rank(args):
 
 
 def cmd_poly_unrank(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     index = int(args.index)
     mask = monomial_of_index(spec, index)
@@ -376,7 +371,6 @@ def cmd_poly_unrank(args):
 
 
 def cmd_dist_roots(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     table = exact_table_roots(spec, args.ell, guard=_validated_guard(args))
     results = {"table": table.to_json_dict()}
@@ -385,7 +379,6 @@ def cmd_dist_roots(args):
 
 
 def cmd_dist_squashed(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     table = exact_table_squashed(spec, args.k, guard=_validated_guard(args))
     results = {"table": table.to_json_dict(), "class_value_map": "value = 2*class - k"}
@@ -395,7 +388,6 @@ def cmd_dist_squashed(args):
 
 
 def cmd_dist_fold(args):
-    _validate_threads(args)
     table = exact_table_fold(_truth_table(args))
     results = {"table": table.to_json_dict()}
     checks = [_check("normalization", True, "spectrum mass sums to 1 exactly")]
@@ -403,7 +395,6 @@ def cmd_dist_fold(args):
 
 
 def cmd_dist_variance(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     rng = RandomSource(args.seed)
     report = variance(spec, args.k, samples=args.samples, rng=rng)
@@ -424,7 +415,6 @@ def cmd_dist_variance(args):
 
 
 def cmd_sim_es(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     guard = _validated_guard(args)
     state = apply_qft(prepare_monomial_superposition(spec, args.ell, guard=guard))
@@ -443,17 +433,14 @@ def cmd_sim_es(args):
 
 
 def cmd_sim_squashed(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     guard = _validated_guard(args)
     transform = build_squashed_transform(args.k)
+    state = squashed_circuit_state(spec, args.k, transform, guard=guard)
     if args.dump_state:
-        state = prepare_monomial_superposition(spec, args.k + 1, guard=guard)
-        for qudit in range(state.num_qudits):
-            state = apply_single_qudit_gate(state, transform.unitary, qudit)
         with open(args.dump_state, "w") as handle:
             json.dump(state.to_json_dict(), handle)
-    simulated = run_squashed_sampler_circuit(spec, args.k, transform, guard=guard)
+    simulated = squashed_measurement_distribution(state)
     analytic = exact_table_squashed(spec, args.k, guard=guard)
     tv = tv_distance(simulated, analytic)
     amp_dev = _amplitude_formula_deviation(spec, args.k, transform, simulated)
@@ -473,17 +460,14 @@ def _amplitude_formula_deviation(spec, k, transform, simulated) -> float:
     n, d, m = spec.n_vars, spec.degree, spec.num_monomials
     prefactor = transform.r0 ** (n - d) * transform.r1**d
     worst = 0.0
-    for flat in range(simulated.size):
-        classes = simulated.outcome_of(flat)
-        values = [2 * c - k for c in classes]
+    for flat, (values, orbit) in enumerate(squashed_points(n, k)):
         q = evaluate_values_fast(spec, values)
-        alpha_sq = prefactor**2 * q * q * orbit_weight(values, k) / m
+        alpha_sq = prefactor**2 * q * q * orbit / m
         worst = max(worst, abs(alpha_sq - float(simulated[flat])))
     return worst
 
 
 def cmd_sim_fold(args):
-    _validate_threads(args)
     truth = _truth_table(args)
     simulated = run_fold_sampler_circuit(truth)
     analytic = exact_table_fold(truth)
@@ -498,7 +482,6 @@ def cmd_sim_fold(args):
 
 
 def cmd_squash_matrix(args):
-    _validate_threads(args)
     transform = build_squashed_transform(args.k)
     residual = unitarity_residual(transform)
     results = {"transform": transform.to_json_dict(), "unitarity_residual": residual}
@@ -513,27 +496,8 @@ def cmd_squash_matrix(args):
 # reduce
 
 
-def cmd_reduce_additive(args):
-    _validate_threads(args)
-    spec = _build_spec(args)
-    report = run_roots_reduction(
-        spec, args.ell, args.epsilon, args.delta, args.trials,
-        RandomSource(args.seed), beta=args.beta, gamma=args.gamma,
-    )
-    return _reduction_results(args, report)
-
-
-def cmd_reduce_squashed(args):
-    _validate_threads(args)
-    spec = _build_spec(args)
-    report = run_squashed_reduction(
-        spec, args.k, args.epsilon, args.delta, args.trials,
-        RandomSource(args.seed), beta=args.beta, gamma=args.gamma,
-    )
-    return _reduction_results(args, report)
-
-
-def _reduction_results(args, report):
+def cmd_reduce(args):
+    report = _reduction_report(args)
     results = report.to_json_dict(include_records=args.records)
     checks = [_check(
         "failure_rate_within_delta",
@@ -544,13 +508,20 @@ def _reduction_results(args, report):
     return results, checks, _rows_projection(["outcome", "estimate", "truth", "error"], rows)
 
 
-def cmd_reduce_lift(args):
-    _validate_threads(args)
-    spec = _build_spec(args)
-    report = run_squashed_reduction(
-        spec, args.k, args.epsilon, args.delta, args.trials,
+def _reduction_report(args):
+    # reduce additive runs on root-of-unity tables; squashed and lift on squashed ones.
+    if args.action == "additive":
+        run, param = run_roots_reduction, args.ell
+    else:
+        run, param = run_squashed_reduction, args.k
+    return run(
+        _build_spec(args), param, args.epsilon, args.delta, args.trials,
         RandomSource(args.seed), beta=args.beta, gamma=args.gamma,
     )
+
+
+def cmd_reduce_lift(args):
+    report = _reduction_report(args)
     lifted = multiplicative_lift(
         report,
         lambda n, inv_delta: args.p_coeff * n**args.p_n_power * inv_delta**args.p_delta_power,
@@ -578,7 +549,6 @@ def cmd_reduce_lift(args):
 
 
 def cmd_anticon(args):
-    _validate_threads(args)
     spec = _build_spec(args)
     thresholds = [float(tok) for tok in args.thresholds.split(",") if tok.strip() != ""]
     report = anticoncentration_experiment(
@@ -602,7 +572,6 @@ def cmd_anticon(args):
 
 
 def cmd_tv(args):
-    _validate_threads(args)
     with open(args.table_a) as handle:
         table_a = ProbabilityTable.from_json_dict(_table_doc(json.load(handle)))
     with open(args.table_b) as handle:

@@ -1,69 +1,14 @@
-"""Approximate counting backends standing in for an NP-oracle counter.
+"""The error model of the approximate-counting step.
 
-Three routes to an estimate of Pr[event] over an enumerable domain:
-
-- ``exact``: brute-force enumeration (the ground truth),
-- ``hash``: pairwise-independent hash halving with median amplification,
-  an honest desk-scale rendition of relative-error counting,
-- ``noisy``: the exact value scaled by a uniform factor in [1-gamma, 1+gamma],
-  the error model relative-error counting guarantees, used inside reductions
-  where enumerating a sampler's randomness is not possible.
+Relative-error approximate counting (Stockmeyer's counting step in the
+reduction) guarantees an estimate within a factor [1-gamma, 1+gamma] of the
+true probability. The reductions inject exactly that error: the true value
+scaled by a uniform factor from the interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil
-
-import numpy as np
-
-from .errors import SizeGuardError
 from .rng import RandomSource
-
-DOMAIN_GUARD = 1 << 24
-AMPLIFIED_FAILURE = 2.0**-20
-# Survivor budget per halving level and median width. Chebyshev at the
-# stopping level gives per-run failure <= 1/8; a Hoeffding bound over the
-# median of 50 runs brings it under 2^-20.
-SURVIVOR_BUDGET_NUMERATOR = 16.0
-MEDIAN_RUNS = 50
-
-
-@dataclass(frozen=True)
-class CountEstimate:
-    alpha: object  # Fraction on exact paths, float otherwise
-    epsilon: float
-    failure_bound: float
-    backend: str
-
-
-def approx_count(
-    event,
-    domain_size: int,
-    epsilon: float = 0.1,
-    backend: str = "exact",
-    rng: RandomSource | None = None,
-    gamma: float | None = None,
-) -> CountEstimate:
-    if domain_size < 1 or domain_size > DOMAIN_GUARD:
-        raise SizeGuardError(f"domain size {domain_size} outside [1, {DOMAIN_GUARD}]")
-    members = _member_indices(event, domain_size)
-    if backend == "exact":
-        return CountEstimate(Fraction(len(members), domain_size), 0.0, 0.0, backend)
-    if backend == "hash":
-        if not 0 < epsilon <= 1:
-            raise ValueError("hash backend needs epsilon in (0, 1]")
-        if rng is None:
-            raise ValueError("hash backend needs an rng")
-        alpha = _hash_halving_estimate(members, domain_size, epsilon, rng)
-        return CountEstimate(alpha, epsilon, AMPLIFIED_FAILURE, backend)
-    if backend == "noisy":
-        if gamma is None or gamma < 0:
-            raise ValueError("noisy backend needs gamma >= 0")
-        truth = Fraction(len(members), domain_size)
-        return CountEstimate(noisy_scale(truth, gamma, rng), gamma, 0.0, backend)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def noisy_scale(value, gamma: float, rng: RandomSource | None):
@@ -73,39 +18,3 @@ def noisy_scale(value, gamma: float, rng: RandomSource | None):
     if rng is None:
         raise ValueError("gamma > 0 needs an rng")
     return float(value) * (1.0 + rng.uniform(-gamma, gamma))
-
-
-def _member_indices(event, domain_size: int) -> np.ndarray:
-    if callable(event):
-        mask = np.fromiter((bool(event(i)) for i in range(domain_size)), dtype=bool, count=domain_size)
-    else:
-        mask = np.asarray(event, dtype=bool)
-        if mask.shape != (domain_size,):
-            raise ValueError(f"event array has shape {mask.shape}; expected ({domain_size},)")
-    return np.flatnonzero(mask).astype(np.uint64)
-
-
-def _hash_halving_estimate(members: np.ndarray, domain_size: int, epsilon: float, rng: RandomSource) -> Fraction:
-    budget = ceil(SURVIVOR_BUDGET_NUMERATOR / epsilon**2)
-    bits = max(1, int(domain_size - 1).bit_length())
-    level = 0
-    while True:
-        counts = [_survivors(members, bits, level, rng) for _ in range(MEDIAN_RUNS)]
-        median = sorted(counts)[MEDIAN_RUNS // 2]
-        if median <= budget or level >= bits:
-            return Fraction(median * 2**level, domain_size)
-        level += 1
-
-
-def _survivors(members: np.ndarray, bits: int, level: int, rng: RandomSource) -> int:
-    # Random affine map over GF(2)^bits -> GF(2)^level; count members hashing
-    # to the all-zero string. level = 0 keeps everything (exact count).
-    if level == 0:
-        return len(members)
-    alive = np.ones(len(members), dtype=bool)
-    for _ in range(level):
-        a = np.uint64(rng.randbits(bits))
-        b = np.uint64(rng.randbits(1))
-        row = (np.bitwise_count(members & a) + b) & np.uint64(1)
-        alive &= row == 0
-    return int(alive.sum())

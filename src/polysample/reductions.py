@@ -16,7 +16,13 @@ from .evaluate import evaluate_values_fast
 from .families import Assignment, PolynomialSpec
 from .rng import RandomSource, as_random_source
 from .samplers import SamplerHandle, make_perturbed_sampler
-from .tables import exact_table_roots, exact_table_squashed, orbit_weight, sample_binomial_value
+from .tables import (
+    exact_table_roots,
+    exact_table_squashed,
+    mixed_radix_index,
+    orbit_weight,
+    sample_binomial_value,
+)
 
 ROOTS = "roots"
 SQUASHED = "squashed"
@@ -92,7 +98,7 @@ def additive_estimator(
     """
     _check_shape(sampler, ell, spec.n_vars)
     digits = tuple(int(v) for v in rng.integers(0, ell, size=spec.n_vars))
-    flat = _flat_index(digits, ell)
+    flat = mixed_radix_index(digits, ell)
     scale = ell**spec.n_vars * spec.num_monomials
     estimate = sampler.estimate_probability(flat, gamma, rng) * scale
     return digits, estimate
@@ -110,7 +116,7 @@ def squashed_additive_estimator(
     if any((v - k) % 2 for v in values):
         raise ParityError("drawn point violates the parity constraint")
     classes = tuple((v + k) // 2 for v in values)
-    flat = _flat_index(classes, k + 1)
+    flat = mixed_radix_index(classes, k + 1)
     scale = 2 ** (k * spec.n_vars) * k**spec.degree * spec.num_monomials
     estimate = sampler.estimate_probability(flat, gamma, rng) * scale / orbit_weight(values, k)
     return values, estimate
@@ -126,26 +132,7 @@ def run_roots_reduction(
     beta: float | None = None,
     gamma: float | None = None,
 ) -> ReductionReport:
-    if beta is None or gamma is None:
-        sched_beta, sched_gamma = guarantee_schedule(epsilon, delta)
-        beta = sched_beta if beta is None else beta
-        gamma = sched_gamma if gamma is None else gamma
-    rng = as_random_source(seed)
-    target = exact_table_roots(spec, ell)
-    sampler = make_perturbed_sampler(target, beta)
-    report = ReductionReport(
-        ROOTS, spec.describe(), ell, epsilon, delta, beta, gamma,
-        trials, rng.seed, spec.num_monomials, sampler.realized_tv,
-    )
-    truths = {}
-    for _ in range(trials):
-        outcome, estimate = additive_estimator(sampler, spec, ell, gamma, rng)
-        truth = truths.get(outcome)
-        if truth is None:
-            truth = _roots_truth(spec, ell, outcome)
-            truths[outcome] = truth
-        _record(report, outcome, estimate, truth)
-    return report
+    return _run_reduction(ROOTS, spec, ell, epsilon, delta, trials, seed, beta, gamma)
 
 
 def run_squashed_reduction(
@@ -158,39 +145,44 @@ def run_squashed_reduction(
     beta: float | None = None,
     gamma: float | None = None,
 ) -> ReductionReport:
-    if beta is None or gamma is None:
-        sched_beta, sched_gamma = guarantee_schedule(epsilon, delta)
-        beta = sched_beta if beta is None else beta
-        gamma = sched_gamma if gamma is None else gamma
+    return _run_reduction(SQUASHED, spec, k, epsilon, delta, trials, seed, beta, gamma)
+
+
+def _run_reduction(kind, spec, param, epsilon, delta, trials, seed, beta, gamma) -> ReductionReport:
+    # The table builders, estimators and evaluator are looked up as module
+    # globals on every call, so a wrapped or patched one is the one that runs.
+    sched_beta, sched_gamma = guarantee_schedule(epsilon, delta)
+    beta = sched_beta if beta is None else beta
+    gamma = sched_gamma if gamma is None else gamma
     rng = as_random_source(seed)
-    target = exact_table_squashed(spec, k)
+    if kind == ROOTS:
+        target, estimator = exact_table_roots(spec, param), additive_estimator
+        bound_scale = spec.num_monomials
+    else:
+        target, estimator = exact_table_squashed(spec, param), squashed_additive_estimator
+        bound_scale = param**spec.degree * spec.num_monomials
     sampler = make_perturbed_sampler(target, beta)
     report = ReductionReport(
-        SQUASHED, spec.describe(), k, epsilon, delta, beta, gamma,
-        trials, rng.seed, k**spec.degree * spec.num_monomials, sampler.realized_tv,
+        kind, spec.describe(), param, epsilon, delta, beta, gamma,
+        trials, rng.seed, bound_scale, sampler.realized_tv,
     )
     truths = {}
     for _ in range(trials):
-        values, estimate = squashed_additive_estimator(sampler, spec, k, gamma, rng)
-        truth = truths.get(values)
+        outcome, estimate = estimator(sampler, spec, param, gamma, rng)
+        truth = truths.get(outcome)
         if truth is None:
-            q = evaluate_values_fast(spec, values)
-            truth = q * q
-            truths[values] = truth
-        _record(report, values, estimate, truth)
+            if kind == ROOTS:
+                q = evaluate_values_fast(spec, Assignment.roots(param, outcome).numeric_values())
+                truth = q * q if param == 2 else abs(q) ** 2
+            else:
+                q = evaluate_values_fast(spec, outcome)
+                truth = q * q
+            truths[outcome] = truth
+        error = abs(estimate - truth)
+        if error > report.additive_bound:
+            report.failure_count += 1
+        report.records.append(TrialRecord(outcome, float(estimate), float(truth), float(error)))
     return report
-
-
-def _record(report: ReductionReport, outcome, estimate, truth) -> None:
-    error = abs(estimate - truth)
-    if error > report.additive_bound:
-        report.failure_count += 1
-    report.records.append(TrialRecord(outcome, float(estimate), float(truth), float(error)))
-
-
-def _roots_truth(spec: PolynomialSpec, ell: int, digits: tuple[int, ...]):
-    q = evaluate_values_fast(spec, Assignment.roots(ell, digits).numeric_values())
-    return q * q if ell == 2 else abs(q) ** 2
 
 
 def _check_shape(sampler: SamplerHandle, radix: int, length: int) -> None:
@@ -199,13 +191,6 @@ def _check_shape(sampler: SamplerHandle, radix: int, length: int) -> None:
             f"sampler table shape ({sampler.table.radix}, {sampler.table.length}) "
             f"does not match ({radix}, {length})"
         )
-
-
-def _flat_index(digits: tuple[int, ...], radix: int) -> int:
-    flat = 0
-    for d in digits:
-        flat = flat * radix + d
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +244,7 @@ def multiplicative_lift(report: ReductionReport, p_poly) -> MultiplicativeLiftRe
     """Reclassify an additive report at eps' = eps * p(n, 1/delta), delta' = 2*delta."""
     if not report.records:
         raise ValueError("report carries no per-trial records to lift")
-    size_n = _characteristic_size(report.spec)
+    size_n = int(report.spec["n"])
     p_value = float(p_poly(size_n, 1.0 / report.delta))
     if p_value <= 0:
         raise ValueError("p(n, 1/delta) must be positive")
@@ -278,7 +263,3 @@ def multiplicative_lift(report: ReductionReport, p_poly) -> MultiplicativeLiftRe
         if record.error > eps_mult * record.truth:
             lifted.failure_count += 1
     return lifted
-
-
-def _characteristic_size(spec_doc: dict) -> int:
-    return int(spec_doc["n"])

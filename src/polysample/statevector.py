@@ -114,18 +114,13 @@ def run_roots_sampler_circuit(
     return measurement_distribution(state)
 
 
-def run_squashed_sampler_circuit(
+def squashed_circuit_state(
     spec: PolynomialSpec,
     k: int,
     transform: SquashedTransform | None = None,
     guard: int = STATE_SIZE_GUARD,
-) -> ProbabilityTable:
-    """Monomial superposition on (k+1)-level qudits, squashed transform, measure.
-
-    The transform's rows are ordered by minus-count while squashed tables
-    index classes by plus-count, so each qudit axis is reversed before the
-    measurement table is formed.
-    """
+) -> StateVector:
+    """Pre-measurement state: monomial superposition on (k+1)-level qudits, squashed transform."""
     if transform is None:
         transform = build_squashed_transform(k)
     elif transform.k != k:
@@ -133,11 +128,30 @@ def run_squashed_sampler_circuit(
     state = prepare_monomial_superposition(spec, k + 1, guard=guard)
     for qudit in range(state.num_qudits):
         state = apply_single_qudit_gate(state, transform.unitary, qudit)
+    return state
+
+
+def squashed_measurement_distribution(state: StateVector) -> ProbabilityTable:
+    """Class-indexed outcome table of a squashed-circuit state.
+
+    The transform's rows are ordered by minus-count while squashed tables
+    index classes by plus-count, so each qudit axis is reversed.
+    """
     state.validate_norm()
+    q, n = state.qudit_dim, state.num_qudits
     probs = np.abs(state.amps) ** 2
-    n = state.num_qudits
-    flipped = probs.reshape([k + 1] * n)[tuple(slice(None, None, -1) for _ in range(n))]
-    return ProbabilityTable(k + 1, n, np.ascontiguousarray(flipped).reshape(-1), DOUBLE)
+    flipped = probs.reshape([q] * n)[tuple(slice(None, None, -1) for _ in range(n))]
+    return ProbabilityTable(q, n, np.ascontiguousarray(flipped).reshape(-1), DOUBLE)
+
+
+def run_squashed_sampler_circuit(
+    spec: PolynomialSpec,
+    k: int,
+    transform: SquashedTransform | None = None,
+    guard: int = STATE_SIZE_GUARD,
+) -> ProbabilityTable:
+    """Monomial superposition on (k+1)-level qudits, squashed transform, measure."""
+    return squashed_measurement_distribution(squashed_circuit_state(spec, k, transform, guard))
 
 
 def run_fold_sampler_circuit(truth_table) -> ProbabilityTable:

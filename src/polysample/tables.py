@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,6 +204,20 @@ def squashed_value(class_index: int, k: int) -> int:
     return 2 * class_index - k
 
 
+def squashed_points(n: int, k: int) -> Iterator[tuple[list[int], int]]:
+    """(values, orbit weight) of every class point of [-k, k]^n, in flat-index order.
+
+    Streams the (k+1)^n points one at a time; class c of a coordinate is the
+    value 2c - k with C(k, c) +-1 preimages.
+    """
+    weights = [comb(k, c) for c in range(k + 1)]
+    for classes in product(range(k + 1), repeat=n):
+        orbit = 1
+        for c in classes:
+            orbit *= weights[c]
+        yield [2 * c - k for c in classes], orbit
+
+
 def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_GUARD) -> ProbabilityTable:
     """Class-indexed distribution over [-k, k]^n with mass Q(y)^2 * orbit(y) / (2^{kn} * Var).
 
@@ -219,18 +233,11 @@ def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_G
     if size > guard:
         raise SizeGuardError(f"table of {size} outcomes exceeds guard {guard}")
     denom = 2 ** (k * n) * k**d * m
-    weights = [comb(k, c) for c in range(k + 1)]
     numerators = []
-    total = 0
-    for classes in product(range(k + 1), repeat=n):
-        values = [2 * c - k for c in classes]
+    for values, orbit in squashed_points(n, k):
         q = evaluate_values_fast(spec, values)
-        orbit = 1
-        for c in classes:
-            orbit *= weights[c]
-        numer = q * q * orbit
-        numerators.append(numer)
-        total += numer
+        numerators.append(q * q * orbit)
+    total = sum(numerators)
     if total != denom:
         raise NumericalCheckError(
             f"squashed normalization identity failed: sum {total} != 2^kn * Var = {denom}"
@@ -257,14 +264,13 @@ def exact_table_fold(truth_table: Sequence[int], max_bits: int = 20) -> Probabil
 
 
 def _walsh_transform(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
+    # Butterfly on blocks of 2h: (a, b) -> (a + b, a - b), one reshape per level.
+    out = values
     h = 1
     while h < len(out):
-        for start in range(0, len(out), 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h].copy()
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
+        pairs = out.reshape(-1, 2, h)
+        a, b = pairs[:, 0], pairs[:, 1]
+        out = np.stack((a + b, a - b), axis=1).reshape(-1)
         h *= 2
     return out
 
@@ -365,7 +371,9 @@ def sample_from_table(table: ProbabilityTable, rng: RandomSource) -> int:
     """Draw a flat outcome index by inverse CDF (first index whose cdf exceeds u)."""
     if table._cdf is None:
         table._cdf = np.cumsum(table.as_floats())
-    u = rng.random()
+    # Float drift can end the CDF below 1; a draw past its end goes to the
+    # last outcome with mass instead of one past the table.
+    u = min(rng.random(), np.nextafter(table._cdf[-1], 0.0))
     return int(np.searchsorted(table._cdf, u, side="right"))
 
 

@@ -19,7 +19,7 @@ def run_json(capsys, *argv):
 
 
 def test_squash_matrix_golden(capsys):
-    code, doc, _ = run_json(capsys, "squash", "matrix", "--k", "2", "--verify")
+    code, doc, _ = run_json(capsys, "squash", "matrix", "--k", "2")
     assert code == 0
     unitary = doc["results"]["transform"]["unitary"]
     assert unitary[0][0] == pytest.approx(0.5)
@@ -61,7 +61,7 @@ def test_poly_eval_checks_both_routes(capsys):
 
 def test_sim_es_self_check_passes(capsys):
     code, doc, _ = run_json(
-        capsys, "sim", "es", "--family", "permanent", "--n", "2", "--ell", "2", "--check-tv"
+        capsys, "sim", "es", "--family", "permanent", "--n", "2", "--ell", "2"
     )
     assert code == 0
     assert doc["results"]["tv_vs_analytic"] <= 1e-9
@@ -211,10 +211,41 @@ def test_dump_state(capsys, tmp_path):
     assert all(len(pair) == 2 for pair in doc["amps"])
 
 
-def test_threads_flag_validated(capsys):
-    code, out, err = run_cli(capsys, "poly", "info", "--family", "permanent", "--n", "3",
-                             "--threads", "0")
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["poly", "info", "--family", "permanent", "--n", "3"],
+    ["dist", "variance", "--family", "permanent", "--n", "2", "--k", "2", "--samples", "10"],
+    ["squash", "matrix", "--k", "2"],
+    ["reduce", "lift", "--family", "permanent", "--n", "2", "--k", "2",
+     "--epsilon", "0.5", "--delta", "0.25", "--trials", "10"],
+    ["tv", "--table-a", "a.json", "--table-b", "b.json"],
+])
+def test_csv_without_projection_is_rejected_up_front(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its --format was rejected")
+
+    for name in ("_build_spec", "build_squashed_transform", "open"):
+        monkeypatch.setattr(f"polysample.cli.{name}", no_work, raising=False)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--format", "csv"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
+def test_non_integer_env_seed_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("POLYSAMPLE_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["poly", "info", "--family", "permanent", "--n", "3"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "POLYSAMPLE_SEED" in errors[0]
+    # an explicit --seed wins over the broken default
+    code, doc, _ = run_json(capsys, "poly", "info", "--family", "permanent", "--n", "3",
+                            "--seed", "7")
+    assert code == 0 and doc["seed"] == 7
 
 
 def test_size_guard_flag_lowers_the_guard(capsys):

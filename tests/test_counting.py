@@ -1,64 +1,8 @@
-"""Approximate-counting backends: exact oracle, hash halving, injected noise."""
+"""The counting step's error model: injected relative noise."""
 
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
-from polysample import RandomSource, SizeGuardError, approx_count, noisy_scale
-
-
-def test_exact_backend_is_truth():
-    event = np.zeros(256, dtype=bool)
-    event[:5] = True
-    est = approx_count(event, 256)
-    assert est.alpha == Fraction(5, 256)
-    assert est.failure_bound == 0.0
-
-
-def test_exact_backend_accepts_predicates():
-    est = approx_count(lambda i: i % 3 == 0, 30)
-    assert est.alpha == Fraction(10, 30)
-
-
-def test_hash_backend_small_sets_are_exact():
-    # Below the survivor budget no halving happens, so the count is exact.
-    event = np.zeros(256, dtype=bool)
-    event[:5] = True
-    est = approx_count(event, 256, epsilon=0.1, backend="hash", rng=RandomSource(1))
-    assert Fraction(45, 2560) <= est.alpha <= Fraction(55, 2560)
-    assert est.failure_bound == 2.0**-20
-
-
-def test_hash_backend_empty_event():
-    est = approx_count(np.zeros(64, dtype=bool), 64, epsilon=0.5, backend="hash", rng=RandomSource(2))
-    assert est.alpha == 0
-
-
-def test_hash_backend_interval_contract():
-    # >= 99% of repetitions must land in the (1 +- eps) interval; the level
-    # search actually halves here (800 members >> budget for eps = 0.25).
-    domain = 1 << 12
-    members = np.zeros(domain, dtype=bool)
-    members[np.random.default_rng(7).choice(domain, size=800, replace=False)] = True
-    truth = 800 / domain
-    eps = 0.25
-    hits = 0
-    reps = 1000
-    for i in range(reps):
-        est = approx_count(members, domain, epsilon=eps, backend="hash", rng=RandomSource(100, i))
-        if (1 - eps) * truth <= float(est.alpha) <= (1 + eps) * truth:
-            hits += 1
-    assert hits >= 0.99 * reps
-
-
-def test_noisy_backend():
-    event = np.zeros(128, dtype=bool)
-    event[:16] = True
-    exact = approx_count(event, 128, backend="noisy", gamma=0.0)
-    assert exact.alpha == Fraction(16, 128)
-    noisy = approx_count(event, 128, backend="noisy", gamma=0.25, rng=RandomSource(3))
-    assert 0.75 * 0.125 <= noisy.alpha <= 1.25 * 0.125
+from polysample import noisy_scale
 
 
 def test_noisy_scale_bounds(rng_factory):
@@ -67,14 +11,3 @@ def test_noisy_scale_bounds(rng_factory):
         out = noisy_scale(2.0, 0.5, rng)
         assert 1.0 <= out <= 3.0
     assert noisy_scale(Fraction(1, 3), 0.0, None) == Fraction(1, 3)
-
-
-def test_domain_guard_and_bad_args():
-    with pytest.raises(SizeGuardError):
-        approx_count(lambda i: False, 1 << 25)
-    with pytest.raises(ValueError):
-        approx_count(np.zeros(8, dtype=bool), 8, backend="hash", rng=None)
-    with pytest.raises(ValueError):
-        approx_count(np.zeros(8, dtype=bool), 8, backend="noisy", gamma=None)
-    with pytest.raises(ValueError):
-        approx_count(np.zeros(8, dtype=bool), 8, backend="made-up")

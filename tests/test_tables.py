@@ -339,6 +339,23 @@ def test_sample_from_table_frequencies(rng_factory):
         assert abs(counts[flat] / n - p) < 5 * sigma + 1e-12
 
 
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_from_table_stays_in_range_under_float_drift():
+    # The float CDF ends at 1 - 5e-10, below the draw; the sample must still
+    # be a real outcome with mass, never the one-past-the-end index.
+    table = ProbabilityTable(2, 2, np.array([0.5, 0.5 - 5e-10, 0.0, 0.0]), "double")
+    assert sample_from_table(table, _FixedDraw(1 - 1e-10)) == 1
+    assert sample_from_table(table, _FixedDraw(0.25)) == 0
+    assert sample_from_table(table, _FixedDraw(0.75)) == 1
+
+
 def test_table_normalization_check_fires():
     with pytest.raises(NumericalCheckError):
         ProbabilityTable(2, 1, [Fraction(1, 2), Fraction(1, 3)], "rational")
