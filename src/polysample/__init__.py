@@ -4,7 +4,12 @@ The package constructs the exact target distributions, simulates the
 sampling circuits on a dense statevector (including the squashed symmetric
 transform), and stress-tests the classical reductions from approximate
 samplers to average-case estimators.
+
+The library logs through the ``polysample`` logger, which is silent unless
+the application configures logging.
 """
+
+import logging
 
 from .anticoncentration import (
     TailReport,
@@ -24,8 +29,10 @@ from .errors import (
 from .evaluate import (
     evaluate_by_enumeration,
     evaluate_fast,
+    evaluate_values_batch,
     evaluate_values_by_enumeration,
     evaluate_values_fast,
+    squared_values,
 )
 from .families import (
     Assignment,
@@ -86,5 +93,7 @@ from .tables import (
     tv_distance,
     variance,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

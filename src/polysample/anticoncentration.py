@@ -4,21 +4,29 @@ For a family polynomial and an input distribution (uniform root-of-unity
 points or blockwise-binomial integers), estimate Pr[|Q|^2 < Var / p] across
 a ladder of 1/p thresholds. Exhaustive mode enumerates the whole input
 space and reports exact rates; Monte Carlo mode reports Wilson confidence
-intervals.
+intervals. Points are evaluated a block at a time (``evaluate.block_points``)
+and hits counted with array comparisons; Monte Carlo draws its points one
+by one in the same order as a point-at-a-time loop, so a seed gives the same
+sample either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import sqrt
 
+import numpy as np
+
 from .errors import SizeGuardError
-from .evaluate import evaluate_values_by_enumeration, evaluate_values_fast
-from .families import Assignment, PolynomialSpec
+from .evaluate import block_points, squared_values
+from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
-from .tables import sample_binomial_value, squashed_points
+from .tables import grid_blocks, sample_binomial_value, squashed_points
+
+# Squares from 2^53 up are compared as Python ints: an int64 to float64
+# conversion could round them across a float cutoff.
+_FLOAT_EXACT = 1 << 53
 
 EXHAUSTIVE_GUARD = 1 << 22
 DEFAULT_THRESHOLDS = (0.5, 0.25, 0.125, 0.0625)
@@ -97,10 +105,6 @@ def anticoncentration_experiment(
         raise ValueError("give exactly one of k (integer mode) or ell (roots mode)")
     if not exhaustive and samples < 1:
         raise ValueError("Monte Carlo mode needs samples >= 1")
-    evaluate = {
-        "fast": evaluate_values_fast,
-        "enumeration": evaluate_values_by_enumeration,
-    }[evaluator]
     thresholds = [float(t) for t in thresholds]
     if any(t < 0 for t in thresholds):
         raise ValueError("thresholds are 1/p values and must be >= 0")
@@ -110,58 +114,73 @@ def anticoncentration_experiment(
     else:
         mode, param, var = "integer", k, k**spec.degree * spec.num_monomials
 
+    cutoffs = [var * t for t in thresholds]
+
     if exhaustive:
-        weighted = _exhaustive_points(spec, mode, param, evaluate)
-        zero_rate = float(sum(w for q2, w in weighted if q2 == 0))
-        rows = []
-        for t in thresholds:
-            cutoff = var * t
-            rate = float(sum(w for q2, w in weighted if q2 < cutoff))
-            rows.append(TailRow(t, float(cutoff), rate, rate, rate))
+        n = spec.n_vars
+        size = param**n if mode == "roots" else (param + 1) ** n
+        if size > EXHAUSTIVE_GUARD:
+            raise SizeGuardError(f"exhaustive space of {size} points exceeds guard {EXHAUSTIVE_GUARD}")
+        # Point weights are 1 / ell^n (roots) or orbit / 2^{kn} (integer).
+        denom = size if mode == "roots" else 2 ** (param * n)
+        zero, *hits = _tally(_exhaustive_points(spec, mode, param, evaluator), cutoffs)
+        rates = [float(Fraction(h, denom)) for h in hits]
+        rows = [TailRow(t, float(c), r, r, r) for t, c, r in zip(thresholds, cutoffs, rates)]
         return TailReport(
-            spec.describe(), mode, param, evaluator, True, len(weighted), None, var, zero_rate, rows
+            spec.describe(), mode, param, evaluator, True, size, None, var,
+            float(Fraction(zero, denom)), rows,
         )
 
     source = as_random_source(rng if rng is not None else 0)
-    values = [_draw_squared_value(spec, mode, param, evaluate, source) for _ in range(samples)]
-    zero_hits = sum(1 for q2 in values if q2 == 0)
+    block = block_points(spec)
+    draws = (
+        (_draw_squared_value(spec, mode, param, evaluator, source, min(block, samples - start)), None)
+        for start in range(0, samples, block)
+    )
+    zero, *hits = _tally(draws, cutoffs)
     rows = []
-    for t in thresholds:
-        cutoff = var * t
-        hits = sum(1 for q2 in values if q2 < cutoff)
-        low, high = wilson_interval(hits, samples, z)
-        rows.append(TailRow(t, float(cutoff), hits / samples, low, high, hits))
+    for t, cutoff, h in zip(thresholds, cutoffs, hits):
+        low, high = wilson_interval(h, samples, z)
+        rows.append(TailRow(t, float(cutoff), h / samples, low, high, h))
     return TailReport(
         spec.describe(), mode, param, evaluator, False, samples, source.seed, var,
-        zero_hits / samples, rows,
+        zero / samples, rows,
     )
 
 
-def _exhaustive_points(spec: PolynomialSpec, mode: str, param: int, evaluate):
-    """(squared value, probability weight) for every point of the input space."""
-    n = spec.n_vars
-    size = param**n if mode == "roots" else (param + 1) ** n
-    if size > EXHAUSTIVE_GUARD:
-        raise SizeGuardError(f"exhaustive space of {size} points exceeds guard {EXHAUSTIVE_GUARD}")
-    out = []
-    if mode == "roots":
-        weight = Fraction(1, size)
-        for digits in product(range(param), repeat=n):
-            q = evaluate(spec, Assignment.roots(param, digits).numeric_values())
-            out.append((q * q if param == 2 else abs(q) ** 2, weight))
-        return out
-    denom = 2 ** (param * n)
-    for vals, orbit in squashed_points(n, param):
-        q = evaluate(spec, vals)
-        out.append((q * q, Fraction(orbit, denom)))
-    return out
+def _tally(blocks, cutoffs) -> list[int]:
+    """Total weight of the points with |Q|^2 = 0, then of those below each cutoff.
+
+    ``blocks`` yields (squared values, integer weights); weights None count
+    each point once.
+    """
+    totals = [0] * (1 + len(cutoffs))
+    for q2, weights in blocks:
+        if q2.dtype.kind in "iu" and q2.max(initial=0) >= _FLOAT_EXACT:
+            q2 = q2.astype(object)
+        for i, mask in enumerate([q2 == 0, *(q2 < c for c in cutoffs)]):
+            totals[i] += int(np.count_nonzero(mask) if weights is None else weights[mask].sum())
+    return totals
 
 
-def _draw_squared_value(spec: PolynomialSpec, mode: str, param: int, evaluate, rng: RandomSource):
+def _exhaustive_points(spec: PolynomialSpec, mode: str, param: int, evaluator: str):
+    """(squared values, weights) blocks over the whole input space.
+
+    Roots points all weigh 1 (weights None); integer points weigh their orbit.
+    """
     if mode == "roots":
-        digits = rng.integers(0, param, size=spec.n_vars)
-        q = evaluate(spec, Assignment.roots(param, digits).numeric_values())
-        return q * q if param == 2 else abs(q) ** 2
-    vals = [sample_binomial_value(param, rng) for _ in range(spec.n_vars)]
-    q = evaluate(spec, vals)
-    return q * q
+        for digits in grid_blocks(spec.n_vars, param):
+            yield squared_values(spec, digits, ell=param, evaluator=evaluator), None
+        return
+    for values, orbits in squashed_points(spec.n_vars, param):
+        yield squared_values(spec, values, evaluator=evaluator), orbits
+
+
+def _draw_squared_value(spec: PolynomialSpec, mode: str, param: int, evaluator: str,
+                        rng: RandomSource, count: int) -> np.ndarray:
+    """|Q|^2 at ``count`` fresh points, drawn one point at a time."""
+    if mode == "roots":
+        points = [rng.integers(0, param, size=spec.n_vars) for _ in range(count)]
+        return squared_values(spec, np.array(points), ell=param, evaluator=evaluator)
+    points = [[sample_binomial_value(param, rng) for _ in range(spec.n_vars)] for _ in range(count)]
+    return squared_values(spec, points, evaluator=evaluator)

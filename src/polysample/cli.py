@@ -17,10 +17,12 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .anticoncentration import DEFAULT_THRESHOLDS, anticoncentration_experiment
 from .errors import NumericalCheckError, PolySampleError, SizeGuardError
-from .evaluate import evaluate_by_enumeration, evaluate_fast, evaluate_values_fast
+from .evaluate import evaluate_by_enumeration, evaluate_fast, evaluate_values_batch
 from .families import (
     Assignment,
     hamiltonian_cycle,
@@ -51,6 +53,7 @@ from .tables import (
     squashed_points,
     tv_distance,
     variance,
+    walsh_spectrum,
 )
 
 TV_TOL_SIM = 1e-9
@@ -388,9 +391,13 @@ def cmd_dist_squashed(args):
 
 
 def cmd_dist_fold(args):
-    table = exact_table_fold(_truth_table(args))
+    truth = _truth_table(args)
+    table = exact_table_fold(truth)
     results = {"table": table.to_json_dict()}
-    checks = [_check("normalization", True, "spectrum mass sums to 1 exactly")]
+    # Parseval: the squared Walsh coefficients of a +-1 table sum to 4^n.
+    parseval = int(np.square(walsh_spectrum(truth)).sum())
+    checks = [_check("normalization", parseval == table.size**2,
+                     f"sum of squared Walsh coefficients {parseval} vs 4^n = {table.size**2}")]
     return results, checks, _table_projection(table)
 
 
@@ -459,11 +466,14 @@ def _amplitude_formula_deviation(spec, k, transform, simulated) -> float:
     # table entry, outcome by outcome.
     n, d, m = spec.n_vars, spec.degree, spec.num_monomials
     prefactor = transform.r0 ** (n - d) * transform.r1**d
-    worst = 0.0
-    for flat, (values, orbit) in enumerate(squashed_points(n, k)):
-        q = evaluate_values_fast(spec, values)
-        alpha_sq = prefactor**2 * q * q * orbit / m
-        worst = max(worst, abs(alpha_sq - float(simulated[flat])))
+    probs = simulated.as_floats()
+    worst, start = 0.0, 0
+    for values, orbits in squashed_points(n, k):
+        q = evaluate_values_batch(spec, values).astype(np.float64)
+        alpha_sq = prefactor**2 * q * q * orbits.astype(np.float64) / m
+        stop = start + len(q)
+        worst = max(worst, float(np.abs(alpha_sq - probs[start:stop]).max()))
+        start = stop
     return worst
 
 
@@ -487,7 +497,8 @@ def cmd_squash_matrix(args):
     results = {"transform": transform.to_json_dict(), "unitarity_residual": residual}
     checks = [
         _check("unitarity", residual <= 1e-9, f"max |U^T U - I| = {residual:.3e}"),
-        _check("column_orthogonality", True, "exact integer Gram check passed at construction"),
+        _check("column_orthogonality", transform.gram_off_diagonal == 0,
+               f"max |Gram off-diagonal| = {transform.gram_off_diagonal} (exact integers)"),
     ]
     return results, checks, None
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ParityError, ShapeMismatchError
-from .evaluate import evaluate_values_fast
-from .families import Assignment, PolynomialSpec
+from .evaluate import squared_values
+from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
 from .samplers import SamplerHandle, make_perturbed_sampler
 from .tables import (
@@ -149,8 +151,8 @@ def run_squashed_reduction(
 
 
 def _run_reduction(kind, spec, param, epsilon, delta, trials, seed, beta, gamma) -> ReductionReport:
-    # The table builders, estimators and evaluator are looked up as module
-    # globals on every call, so a wrapped or patched one is the one that runs.
+    # The table builders and estimators are looked up as module globals on
+    # every call, so a wrapped or patched one is the one that runs.
     sched_beta, sched_gamma = guarantee_schedule(epsilon, delta)
     beta = sched_beta if beta is None else beta
     gamma = sched_gamma if gamma is None else gamma
@@ -166,18 +168,13 @@ def _run_reduction(kind, spec, param, epsilon, delta, trials, seed, beta, gamma)
         kind, spec.describe(), param, epsilon, delta, beta, gamma,
         trials, rng.seed, bound_scale, sampler.realized_tv,
     )
-    truths = {}
-    for _ in range(trials):
-        outcome, estimate = estimator(sampler, spec, param, gamma, rng)
-        truth = truths.get(outcome)
-        if truth is None:
-            if kind == ROOTS:
-                q = evaluate_values_fast(spec, Assignment.roots(param, outcome).numeric_values())
-                truth = q * q if param == 2 else abs(q) ** 2
-            else:
-                q = evaluate_values_fast(spec, outcome)
-                truth = q * q
-            truths[outcome] = truth
+    estimates = [estimator(sampler, spec, param, gamma, rng) for _ in range(trials)]
+    # Truths draw no randomness: one batch over the distinct outcomes.
+    distinct = list(dict.fromkeys(outcome for outcome, _ in estimates))
+    points = np.array(distinct, dtype=np.int64).reshape(len(distinct), spec.n_vars)
+    truths = dict(zip(distinct, squared_values(spec, points, ell=param if kind == ROOTS else None).tolist()))
+    for outcome, estimate in estimates:
+        truth = truths[outcome]
         error = abs(estimate - truth)
         if error > report.additive_bound:
             report.failure_count += 1

@@ -7,14 +7,17 @@ a statevector also pin the dumped file as ``<case>.state.json``.
 
 Regenerate after an intended output change with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--case NAME ...] [OUT_DIR]
+
+Without ``--case`` every case is written; with it only the named cases are,
+so adding a case leaves the other golden files untouched.
 """
 
 import contextlib
 import io
 import json
+import argparse
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,22 @@ CASES = {
     "dist_fold_random": ["dist", "fold", "--random-bits", "6", "--seed", "5"],
     "dist_fold_values": ["dist", "fold", "--values", "1,-1,-1,-1,1,1,-1,1"],
     "sim_es_ell3": ["sim", "es", "--family", "permanent", "--n", "2", "--ell", "3"],
+    "anticon_mc_hc5_ell2": ["anticon", "--family", "hamiltonian_cycle", "--n", "5", "--ell", "2",
+                            "--samples", "3000", "--seed", "11"],
+    "anticon_mc_perm3_k2": ["anticon", "--family", "permanent", "--n", "3", "--k", "2",
+                            "--samples", "2000", "--seed", "12"],
+    "anticon_mc_lift_ell2": ["anticon", "--family", "permanent", "--n", "2", "--lift", "3",
+                             "--ell", "2", "--samples", "2000", "--seed", "13"],
+    "anticon_mc_perm2_ell3": ["anticon", "--family", "permanent", "--n", "2", "--ell", "3",
+                              "--samples", "500", "--seed", "14"],
+    "anticon_exhaustive_ell2": ["anticon", "--family", "permanent", "--n", "3", "--ell", "2",
+                                "--exhaustive"],
+    "reduce_squashed_hc3_k1": ["reduce", "squashed", "--family", "hamiltonian_cycle", "--n", "3",
+                               "--k", "1", *_REDUCTION, "--seed", "6"],
+    "dist_variance_samples": ["dist", "variance", "--family", "hamiltonian_cycle", "--n", "4", "--k", "2",
+                              "--samples", "500", "--seed", "8"],
+    "dist_squashed_lift2_k1": ["dist", "squashed", "--family", "permanent", "--n", "2", "--lift", "2",
+                               "--k", "1"],
 }
 
 
@@ -73,14 +92,15 @@ def test_document_matches_golden(case, tmp_path, monkeypatch):
         assert state == (GOLDEN_DIR / f"{case}.state.json").read_text()
 
 
-def regenerate(out_dir: Path) -> None:
+def regenerate(out_dir: Path, names) -> None:
     out_dir = out_dir.resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     os.environ.pop("POLYSAMPLE_SEED", None)
     workdir = out_dir / "_work"
     workdir.mkdir(exist_ok=True)
     os.chdir(workdir)
-    for case, argv in CASES.items():
+    for case in names:
+        argv = CASES[case]
         code, text, state = render(argv)
         if code != 0:
             raise SystemExit(f"{case} exited {code}")
@@ -92,4 +112,9 @@ def regenerate(out_dir: Path) -> None:
 
 
 if __name__ == "__main__":
-    regenerate(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN_DIR)
+    parser = argparse.ArgumentParser(description="Write golden CLI documents.")
+    parser.add_argument("out_dir", nargs="?", type=Path, default=GOLDEN_DIR)
+    parser.add_argument("--case", action="append", choices=sorted(CASES),
+                        help="write only this case (repeatable); default: every case")
+    args = parser.parse_args()
+    regenerate(args.out_dir, args.case or list(CASES))
