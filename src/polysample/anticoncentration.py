@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import SizeGuardError
-from .evaluate import block_points, squared_values
+from .evaluate import block_points, block_sizes, squared_values
 from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
 from .tables import grid_blocks, sample_binomial_value, squashed_points
@@ -132,10 +132,9 @@ def anticoncentration_experiment(
         )
 
     source = as_random_source(rng if rng is not None else 0)
-    block = block_points(spec)
     draws = (
-        (_draw_squared_value(spec, mode, param, evaluator, source, min(block, samples - start)), None)
-        for start in range(0, samples, block)
+        (_draw_squared_value(spec, mode, param, evaluator, source, count), None)
+        for count in block_sizes(spec, samples)
     )
     zero, *hits = _tally(draws, cutoffs)
     rows = []
@@ -168,11 +167,12 @@ def _exhaustive_points(spec: PolynomialSpec, mode: str, param: int, evaluator: s
 
     Roots points all weigh 1 (weights None); integer points weigh their orbit.
     """
+    rows = block_points(spec)
     if mode == "roots":
-        for digits in grid_blocks(spec.n_vars, param):
+        for digits in grid_blocks(spec.n_vars, param, rows):
             yield squared_values(spec, digits, ell=param, evaluator=evaluator), None
         return
-    for values, orbits in squashed_points(spec.n_vars, param):
+    for values, orbits in squashed_points(spec.n_vars, param, rows):
         yield squared_values(spec, values, evaluator=evaluator), orbits
 
 

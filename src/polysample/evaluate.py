@@ -156,14 +156,25 @@ def squared_values(spec: PolynomialSpec, points, ell: int | None = None, evaluat
 
 
 def block_points(spec: PolynomialSpec) -> int:
-    """Points per int64 kernel block: the byte budget over one point's working set."""
+    """Points per int64 kernel block: the byte budget over one point's working set.
+
+    Callers that generate points generate them in blocks of this size, so
+    their buffers stay within the same budget.
+    """
     return max(1, BLOCK_BYTES // point_bytes(spec))
+
+
+def block_sizes(spec: PolynomialSpec, total: int) -> list[int]:
+    """Sizes of the consecutive blocks that cover ``total`` points."""
+    block = block_points(spec)
+    return [min(block, total - start) for start in range(0, total, block)]
 
 
 def point_bytes(spec: PolynomialSpec) -> int:
     """Bytes of int64 working memory one point takes in its batch kernel."""
     if spec.family == LIFTED:
-        return point_bytes(spec.base)
+        # the lifted row, then the base family's working set on its block sums
+        return 8 * spec.n_vars + point_bytes(spec.base)
     n = spec.matrix_n
     if spec.family == HAMILTONIAN_CYCLE:
         # matrix, DP table over (subset, end vertex), one extension row, the

@@ -32,7 +32,6 @@ class SquashedTransform:
     core: tuple[tuple[int, ...], ...]  # integer e_j values per class, (k+1) x (k+1)
     class_sizes: tuple[int, ...]  # C(k, i), the L diagonal squared
     column_norms_sq: tuple[int, ...]  # exact squared norms of the L-weighted columns
-    gram_off_diagonal: int  # largest |off-diagonal Gram entry| of those columns, measured
     unitary: np.ndarray
     r0: float
     r1: float
@@ -83,16 +82,13 @@ def build_squashed_transform(k: int) -> SquashedTransform:
     # Orthogonality of the weighted columns holds exactly in integers; a
     # nonzero off-diagonal Gram entry means the construction is wrong.
     norms_sq = [0] * (k + 1)
-    gram_off_diagonal = 0
     for a in range(k + 1):
         for b in range(a, k + 1):
             g = sum(sizes[i] * core[i][a] * core[i][b] for i in range(k + 1))
             if a == b:
                 norms_sq[a] = g
-            else:
-                gram_off_diagonal = max(gram_off_diagonal, abs(g))
-    if gram_off_diagonal:
-        raise NumericalCheckError(f"columns not orthogonal (largest |gram| {gram_off_diagonal})")
+            elif g != 0:
+                raise NumericalCheckError(f"columns {a} and {b} not orthogonal (gram {g})")
 
     row_weight = np.sqrt(np.array(sizes, dtype=np.float64))
     col_scale = 1.0 / np.sqrt(np.array(norms_sq, dtype=np.float64))
@@ -106,7 +102,6 @@ def build_squashed_transform(k: int) -> SquashedTransform:
         core=tuple(tuple(row) for row in core),
         class_sizes=tuple(sizes),
         column_norms_sq=tuple(norms_sq),
-        gram_off_diagonal=gram_off_diagonal,
         unitary=unitary,
         r0=float(col_scale[0]),
         r1=float(col_scale[1]),

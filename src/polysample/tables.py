@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import NumericalCheckError, ParityError, ShapeMismatchError, SizeGuardError
 from .evaluate import (
-    BLOCK_BYTES,
     ENUMERATION_GUARD,
     block_points,
+    block_sizes,
     evaluate_values_batch,
-    squared_values,
+    evaluate_values_fast,
 )
 from .families import Assignment, PolynomialSpec, monomial_of_index
 from .rng import RandomSource
@@ -209,28 +209,29 @@ def squashed_value(class_index: int, k: int) -> int:
     return 2 * class_index - k
 
 
-def grid_blocks(n: int, radix: int) -> Iterator[np.ndarray]:
+def grid_blocks(n: int, radix: int, rows: int) -> Iterator[np.ndarray]:
     """Digit rows of every point of [0, radix)^n in flat-index order.
 
-    Yields int64 arrays of shape (rows, n), each within ``BLOCK_BYTES``.
+    Yields int64 arrays of at most ``rows`` rows; callers that evaluate the
+    rows pass ``evaluate.block_points(spec)``.
     """
     size = radix**n
-    rows = max(1, BLOCK_BYTES // (8 * n))
     place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, size, rows):
         flat = np.arange(start, min(start + rows, size), dtype=np.int64)
         yield flat[:, None] // place % radix
 
 
-def squashed_points(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def squashed_points(n: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(values, orbit weights) blocks of every class point of [-k, k]^n, in flat-index order.
 
-    Class c of a coordinate is the value 2c - k with C(k, c) +-1 preimages.
-    Values are int64 rows; orbit weights are int64 when their total 2^{kn}
-    fits, else Python ints in an object array.
+    Blocks hold at most ``rows`` points, as in ``grid_blocks``. Class c of a
+    coordinate is the value 2c - k with C(k, c) +-1 preimages. Values are
+    int64 rows; orbit weights are int64 when their total 2^{kn} fits, else
+    Python ints in an object array.
     """
     weights = np.array([comb(k, c) for c in range(k + 1)], dtype=np.int64 if k * n < 63 else object)
-    for classes in grid_blocks(n, k + 1):
+    for classes in grid_blocks(n, k + 1, rows):
         yield 2 * classes - k, weights[classes].prod(axis=1)
 
 
@@ -250,8 +251,10 @@ def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_G
         raise SizeGuardError(f"table of {size} outcomes exceeds guard {guard}")
     denom = 2 ** (k * n) * k**d * m
     numerators = []
-    for values, orbits in squashed_points(n, k):
-        numerators.extend(q2 * w for q2, w in zip(squared_values(spec, values).tolist(), orbits.tolist()))
+    for values, orbits in squashed_points(n, k, block_points(spec)):
+        for vals, orbit in zip(values.tolist(), orbits.tolist()):
+            q = evaluate_values_fast(spec, vals)
+            numerators.append(q * q * orbit)
     total = sum(numerators)
     if total != denom:
         raise NumericalCheckError(
@@ -263,14 +266,6 @@ def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_G
 
 def exact_table_fold(truth_table: Sequence[int], max_bits: int = 20) -> ProbabilityTable:
     """Squared, normalized Walsh spectrum of a +-1 truth table."""
-    spectrum = walsh_spectrum(truth_table, max_bits)
-    denom = len(spectrum) ** 2
-    probs = [Fraction(int(w) * int(w), denom) for w in spectrum]
-    return ProbabilityTable(2, len(spectrum).bit_length() - 1, probs, RATIONAL)
-
-
-def walsh_spectrum(truth_table: Sequence[int], max_bits: int = 20) -> np.ndarray:
-    """Integer Walsh-Hadamard spectrum of a +-1 truth table, exact in int64."""
     size = len(truth_table)
     n = size.bit_length() - 1
     if size != 1 << n or n < 1:
@@ -280,6 +275,20 @@ def walsh_spectrum(truth_table: Sequence[int], max_bits: int = 20) -> np.ndarray
     values = np.asarray(truth_table, dtype=np.int64)
     if not np.all(np.abs(values) == 1):
         raise ValueError("truth table entries must be +-1")
+    spectrum = _walsh_transform(values)
+    # Parseval: the squared coefficients of a +-1 table sum to 4^n; exact in
+    # int64, since every partial sum is at most 2^n * 4^n <= 2^60.
+    denom = size * size
+    total = int(np.square(spectrum).sum())
+    if total != denom:
+        raise NumericalCheckError(
+            f"Parseval identity failed: sum of squared coefficients {total} != 4^n = {denom}"
+        )
+    probs = [Fraction(int(w) * int(w), denom) for w in spectrum]
+    return ProbabilityTable(2, n, probs, RATIONAL)
+
+
+def _walsh_transform(values: np.ndarray) -> np.ndarray:
     # Butterfly on blocks of 2h: (a, b) -> (a + b, a - b), one reshape per level.
     out = values
     h = 1
@@ -321,10 +330,8 @@ def variance(spec: PolynomialSpec, k: int, samples: int = 0, rng: RandomSource |
         if rng is None:
             raise ValueError("empirical variance needs an rng")
         acc = 0.0
-        block = block_points(spec)
-        for start in range(0, samples, block):
-            points = [sample_binomial_assignment(spec, k, rng).values
-                      for _ in range(min(block, samples - start))]
+        for count in block_sizes(spec, samples):
+            points = [sample_binomial_assignment(spec, k, rng).values for _ in range(count)]
             for q in evaluate_values_batch(spec, points).tolist():
                 acc += float(q) * float(q)
         empirical = acc / samples

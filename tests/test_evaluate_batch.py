@@ -1,7 +1,8 @@
 """The batched int64 evaluator against the scalar kernels and the enumeration oracle."""
 
 import logging
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from polysample import (
     permanent,
     squared_values,
 )
-from polysample.evaluate import BLOCK_BYTES, block_points, point_bytes
+from polysample.evaluate import BLOCK_BYTES, block_points, block_sizes, point_bytes
+from polysample.tables import grid_blocks, squashed_points
 
 FAMILIES = {"permanent": permanent, "hamiltonian_cycle": hamiltonian_cycle}
 
@@ -108,6 +110,25 @@ def test_block_stays_within_the_byte_budget(spec):
         assert (block_points(spec) + 1) * point_bytes(spec) > BLOCK_BYTES
     else:
         assert block_points(spec) == 1  # one point at a time past the budget
+
+
+@pytest.mark.parametrize("total", [0, 1, 333, 334, 1000])
+def test_block_sizes_cover_the_points_in_budget_sized_blocks(total):
+    spec = hamiltonian_cycle(5)  # 334 points per block
+    sizes = block_sizes(spec, total)
+    assert sum(sizes) == total
+    assert all(0 < size <= block_points(spec) for size in sizes)
+    assert sizes[:-1] == [block_points(spec)] * (len(sizes) - 1)
+
+
+def test_grids_honour_the_row_count_and_flat_order():
+    blocks = list(grid_blocks(3, 4, rows=10))
+    assert [len(b) for b in blocks] == [10] * 6 + [4]
+    assert [tuple(row) for b in blocks for row in b.tolist()] == list(product(range(4), repeat=3))
+    points = [(tuple(v), w) for values, orbits in squashed_points(2, 2, rows=4)
+              for v, w in zip(values.tolist(), orbits.tolist())]
+    assert points == [((2 * a - 2, 2 * b - 2), comb(2, a) * comb(2, b))
+                      for a, b in product(range(3), repeat=2)]
 
 
 def test_blocks_cover_a_batch_larger_than_one_block(rng_factory):

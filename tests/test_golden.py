@@ -13,10 +13,10 @@ Without ``--case`` every case is written; with it only the named cases are,
 so adding a case leaves the other golden files untouched.
 """
 
+import argparse
 import contextlib
 import io
 import json
-import argparse
 import os
 from pathlib import Path
 

@@ -214,6 +214,14 @@ def test_fold_parseval_random(rng_factory):
     assert sum(table.probs) == 1
 
 
+def test_fold_raises_when_parseval_fails(monkeypatch):
+    import polysample.tables
+
+    monkeypatch.setattr(polysample.tables, "_walsh_transform", lambda values: values)
+    with pytest.raises(NumericalCheckError, match="Parseval"):
+        exact_table_fold([1, -1, -1, 1])
+
+
 def test_fold_rejects_bad_alphabet_and_size():
     with pytest.raises(ValueError):
         exact_table_fold([1, 2, 1, 1])
