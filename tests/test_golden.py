@@ -2,8 +2,9 @@
 
 Each case runs one small CLI invocation in a scratch directory and compares
 its JSON document (timestamp removed, re-serialized the way the CLI writes
-it) byte for byte against ``tests/golden/cli/<case>.json``. Cases that dump
-a statevector also pin the dumped file as ``<case>.state.json``.
+it) byte for byte against ``tests/golden/cli/<case>.json``. A ``--format csv``
+case is compared as raw text against ``<case>.csv``. Cases that dump a
+statevector also pin the dumped file as ``<case>.state.json``.
 
 Regenerate after an intended output change with
 
@@ -65,14 +66,31 @@ CASES = {
                               "--samples", "500", "--seed", "8"],
     "dist_squashed_lift2_k1": ["dist", "squashed", "--family", "permanent", "--n", "2", "--lift", "2",
                                "--k", "1"],
+    "dist_roots_perm3_ell2": ["dist", "roots", "--family", "permanent", "--n", "3", "--ell", "2"],
+    "dist_roots_perm2_ell3": ["dist", "roots", "--family", "permanent", "--n", "2", "--ell", "3"],
+    "sim_fold_values": ["sim", "fold", "--values", "1,-1,-1,-1,1,1,-1,1"],
+    # The perturbed tables' common denominators are 3 * 2^56 (past 2^53) and
+    # 3 * 2^66 (past 2^63).
+    "reduce_squashed_perm3_k1_beta": ["reduce", "squashed", "--family", "permanent", "--n", "3",
+                                      "--k", "1", *_REDUCTION, "--beta", "0.05", "--seed", "9"],
+    "reduce_squashed_perm3_k1_tiny_beta": ["reduce", "squashed", "--family", "permanent", "--n", "3",
+                                           "--k", "1", *_REDUCTION, "--beta", "0.0001", "--seed", "10"],
+    "dist_squashed_perm2_k2_csv": ["dist", "squashed", "--family", "permanent", "--n", "2", "--k", "2",
+                                   "--format", "csv"],
 }
 
 
+def golden_path(case) -> Path:
+    return GOLDEN_DIR / f"{case}.{'csv' if 'csv' in CASES[case] else 'json'}"
+
+
 def render(argv) -> tuple[int, str, str | None]:
-    """Exit code, document text without its timestamp, and dumped state text."""
+    """Exit code, document text without its timestamp (csv: raw text), and dumped state text."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(list(argv))
+    if "csv" in argv:
+        return code, stdout.getvalue(), None
     doc = json.loads(stdout.getvalue())
     doc.pop("timestamp")
     state = None
@@ -87,7 +105,8 @@ def test_document_matches_golden(case, tmp_path, monkeypatch):
     monkeypatch.delenv("POLYSAMPLE_SEED", raising=False)
     code, text, state = render(CASES[case])
     assert code == 0
-    assert text == (GOLDEN_DIR / f"{case}.json").read_text()
+    # Bytes, not read_text: csv rows end in \r\n, which text mode would translate.
+    assert text == golden_path(case).read_bytes().decode()
     if state is not None:
         assert state == (GOLDEN_DIR / f"{case}.state.json").read_text()
 
@@ -104,7 +123,7 @@ def regenerate(out_dir: Path, names) -> None:
         code, text, state = render(argv)
         if code != 0:
             raise SystemExit(f"{case} exited {code}")
-        (out_dir / f"{case}.json").write_text(text)
+        (out_dir / golden_path(case).name).write_text(text)
         if state is not None:
             (out_dir / f"{case}.state.json").write_text(state)
             os.remove(STATE_FILE)
