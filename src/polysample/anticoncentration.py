@@ -5,15 +5,14 @@ points or blockwise-binomial integers), estimate Pr[|Q|^2 < Var / p] across
 a ladder of 1/p thresholds. Exhaustive mode enumerates the whole input
 space and reports exact rates; Monte Carlo mode reports Wilson confidence
 intervals. Points are evaluated a block at a time (``evaluate.block_points``)
-and hits counted with array comparisons; Monte Carlo draws its points one
-by one in the same order as a point-at-a-time loop, so a seed gives the same
-sample either way.
+and hits counted with array comparisons. Monte Carlo draws in the order of a
+point-at-a-time loop (a root-of-unity block is one ``(count, n_vars)`` draw,
+the same stream as per-row draws), so a seed gives the same sample either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from math import sqrt
 
 import numpy as np
@@ -22,11 +21,7 @@ from .errors import SizeGuardError
 from .evaluate import block_points, block_sizes, squared_values
 from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
-from .tables import grid_blocks, sample_binomial_value, squashed_points
-
-# Squares from 2^53 up are compared as Python ints: an int64 to float64
-# conversion could round them across a float cutoff.
-_FLOAT_EXACT = 1 << 53
+from .tables import FLOAT_EXACT, grid_blocks, sample_binomial_value, squashed_points
 
 EXHAUSTIVE_GUARD = 1 << 22
 DEFAULT_THRESHOLDS = (0.5, 0.25, 0.125, 0.0625)
@@ -66,28 +61,7 @@ class TailReport:
     rows: list[TailRow]
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "mode": self.mode,
-            "mode_param": self.mode_param,
-            "evaluator": self.evaluator,
-            "exhaustive": self.exhaustive,
-            "samples": self.samples,
-            "seed": self.seed,
-            "variance_value": self.variance_value,
-            "zero_rate": self.zero_rate,
-            "rows": [
-                {
-                    "inv_p": r.inv_p,
-                    "cutoff": r.cutoff,
-                    "rate": r.rate,
-                    "ci_low": r.ci_low,
-                    "ci_high": r.ci_high,
-                    "hits": r.hits,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def anticoncentration_experiment(
@@ -124,11 +98,11 @@ def anticoncentration_experiment(
         # Point weights are 1 / ell^n (roots) or orbit / 2^{kn} (integer).
         denom = size if mode == "roots" else 2 ** (param * n)
         zero, *hits = _tally(_exhaustive_points(spec, mode, param, evaluator), cutoffs)
-        rates = [float(Fraction(h, denom)) for h in hits]
+        rates = [h / denom for h in hits]  # int / int: correctly rounded
         rows = [TailRow(t, float(c), r, r, r) for t, c, r in zip(thresholds, cutoffs, rates)]
         return TailReport(
             spec.describe(), mode, param, evaluator, True, size, None, var,
-            float(Fraction(zero, denom)), rows,
+            zero / denom, rows,
         )
 
     source = as_random_source(rng if rng is not None else 0)
@@ -155,7 +129,9 @@ def _tally(blocks, cutoffs) -> list[int]:
     """
     totals = [0] * (1 + len(cutoffs))
     for q2, weights in blocks:
-        if q2.dtype.kind in "iu" and q2.max(initial=0) >= _FLOAT_EXACT:
+        # Squares from 2^53 up are compared as Python ints: an int64 to
+        # float64 conversion could round them across a float cutoff.
+        if q2.dtype.kind in "iu" and q2.max(initial=0) >= FLOAT_EXACT:
             q2 = q2.astype(object)
         for i, mask in enumerate([q2 == 0, *(q2 < c for c in cutoffs)]):
             totals[i] += int(np.count_nonzero(mask) if weights is None else weights[mask].sum())
@@ -178,9 +154,9 @@ def _exhaustive_points(spec: PolynomialSpec, mode: str, param: int, evaluator: s
 
 def _draw_squared_value(spec: PolynomialSpec, mode: str, param: int, evaluator: str,
                         rng: RandomSource, count: int) -> np.ndarray:
-    """|Q|^2 at ``count`` fresh points, drawn one point at a time."""
+    """|Q|^2 at ``count`` fresh points, drawn in point-at-a-time order."""
     if mode == "roots":
-        points = [rng.integers(0, param, size=spec.n_vars) for _ in range(count)]
-        return squared_values(spec, np.array(points), ell=param, evaluator=evaluator)
+        points = rng.integers(0, param, size=(count, spec.n_vars))
+        return squared_values(spec, points, ell=param, evaluator=evaluator)
     points = [[sample_binomial_value(param, rng) for _ in range(spec.n_vars)] for _ in range(count)]
     return squared_values(spec, points, evaluator=evaluator)

@@ -43,6 +43,8 @@ from .statevector import (
     squashed_measurement_distribution,
 )
 from .tables import (
+    DOUBLE_NORMALIZATION_TOL,
+    RATIONAL,
     ProbabilityTable,
     binomial_sampling_method,
     exact_table_fold,
@@ -374,16 +376,23 @@ def cmd_dist_roots(args):
     spec = _build_spec(args)
     table = exact_table_roots(spec, args.ell, guard=_validated_guard(args))
     results = {"table": table.to_json_dict()}
-    checks = [_check("normalization", True, "table sums to 1 within its arithmetic tolerance")]
-    return results, checks, _table_projection(table)
+    measured = table.validate_normalization()
+    if table.arithmetic == RATIONAL:
+        check = _check("normalization", measured == table.denominator,
+                       f"sum of |Q|^2 numerators = {measured}, ell^n * m = {table.denominator}")
+    else:
+        check = _check("normalization", measured <= DOUBLE_NORMALIZATION_TOL,
+                       f"|sum p - 1| = {measured:.3e} (tolerance {DOUBLE_NORMALIZATION_TOL})")
+    return results, [check], _table_projection(table)
 
 
 def cmd_dist_squashed(args):
     spec = _build_spec(args)
     table = exact_table_squashed(spec, args.k, guard=_validated_guard(args))
     results = {"table": table.to_json_dict(), "class_value_map": "value = 2*class - k"}
-    checks = [_check("normalization_identity", True,
-                     "sum of Q^2 * orbit equals 2^{kn} * Var exactly")]
+    total = table.validate_normalization()
+    checks = [_check("normalization_identity", total == table.denominator,
+                     f"sum of Q^2 * orbit = {total}, 2^{{kn}} * Var = {table.denominator}")]
     return results, checks, _table_projection(table)
 
 

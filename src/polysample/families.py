@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidMonomialError, SizeGuardError
 
@@ -191,11 +191,6 @@ def index_of_monomial(spec: PolynomialSpec, mask: Sequence[int]) -> int:
     if spec.family == LIFTED:
         return _rank_lifted(spec, mask)
     raise InvalidMonomialError(f"family {spec.family!r} has no ranking")
-
-
-def iter_monomials(spec: PolynomialSpec) -> Iterator[tuple[int, ...]]:
-    for z in range(spec.num_monomials):
-        yield monomial_of_index(spec, z)
 
 
 def mask_to_string(mask: Sequence[int]) -> str:

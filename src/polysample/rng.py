@@ -25,10 +25,6 @@ class RandomSource:
     def split(self, stream_id: int) -> "RandomSource":
         return RandomSource(self.seed, stream_id)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def random(self) -> float:
         return float(self._gen.random())
 

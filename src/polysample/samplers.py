@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .counting import noisy_scale
 from .rng import RandomSource
-from .tables import DOUBLE, RATIONAL, ProbabilityTable, sample_from_table
+from .tables import RATIONAL, ProbabilityTable, exact_weights, sample_from_table
 
 EXACT = "exact"
 PERTURBED = "perturbed"
@@ -72,29 +73,30 @@ def make_perturbed_sampler(
     """
     if beta < 0 or beta > 1:
         raise ValueError("beta must lie in [0, 1]")
-    exact = target.arithmetic == RATIONAL
-    probs = list(target.probs) if exact else [float(p) for p in target.probs]
-    want = Fraction(beta) if exact else beta
+    if target.arithmetic == RATIONAL:
+        # Exact tables move integer mass over the lcm of the table's and beta's denominators.
+        denominator = lcm(target.denominator, Fraction(beta).denominator)
+        weights = exact_weights(target.weights, denominator) * (denominator // target.denominator)
+        want = int(Fraction(beta) * denominator)
+    else:
+        denominator, weights, want = 1, target.weights.copy(), beta
 
     if concentrate_on is None:
-        receiver = min(range(len(probs)), key=lambda i: (probs[i], i))
+        receiver = int(np.argmin(weights))
     else:
         receiver = int(concentrate_on)
-        if not 0 <= receiver < len(probs):
+        if not 0 <= receiver < len(weights):
             raise ValueError(f"receiver index {receiver} out of range")
-    donors = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
 
-    moved = Fraction(0) if exact else 0.0
-    for donor in donors:
-        if donor == receiver or moved >= want:
-            continue
-        take = min(probs[donor], want - moved)
-        probs[donor] -= take
+    donors = np.argsort(-weights, kind="stable")
+    moved = 0
+    for donor in donors[donors != receiver].tolist():
+        if moved >= want:
+            break
+        take = min(weights[donor], want - moved)
+        weights[donor] -= take
         moved += take
-    probs[receiver] += moved
+    weights[receiver] += moved
 
-    if exact:
-        table = ProbabilityTable(target.radix, target.length, probs, RATIONAL)
-    else:
-        table = ProbabilityTable(target.radix, target.length, np.asarray(probs), DOUBLE)
-    return SamplerHandle(PERTURBED, target, table, float(moved))
+    table = ProbabilityTable(target.radix, target.length, weights, denominator)
+    return SamplerHandle(PERTURBED, target, table, float(Fraction(moved) / denominator))

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericalCheckError, SizeGuardError
 from .families import PolynomialSpec, monomial_of_index
 from .squashed import SquashedTransform, build_squashed_transform
-from .tables import DOUBLE, ProbabilityTable, mixed_radix_index
+from .tables import ProbabilityTable, mixed_radix_index
 
 STATE_SIZE_GUARD = 1 << 26
 NORM_TOL = 1e-9
@@ -100,8 +100,7 @@ def apply_qft(state: StateVector, radix: int | None = None, inverse: bool = Fals
 
 
 def measurement_distribution(state: StateVector) -> ProbabilityTable:
-    probs = np.abs(state.amps) ** 2
-    return ProbabilityTable(state.qudit_dim, state.num_qudits, probs, DOUBLE)
+    return ProbabilityTable(state.qudit_dim, state.num_qudits, np.abs(state.amps) ** 2)
 
 
 def run_roots_sampler_circuit(
@@ -141,7 +140,7 @@ def squashed_measurement_distribution(state: StateVector) -> ProbabilityTable:
     q, n = state.qudit_dim, state.num_qudits
     probs = np.abs(state.amps) ** 2
     flipped = probs.reshape([q] * n)[tuple(slice(None, None, -1) for _ in range(n))]
-    return ProbabilityTable(q, n, np.ascontiguousarray(flipped).reshape(-1), DOUBLE)
+    return ProbabilityTable(q, n, np.ascontiguousarray(flipped).reshape(-1))
 
 
 def run_squashed_sampler_circuit(

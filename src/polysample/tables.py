@@ -1,10 +1,10 @@
 """Exact target distributions and the table machinery around them.
 
 Every distribution here is materialized as a dense ``ProbabilityTable`` over
-a mixed-radix outcome space (position 0 most significant). Tables are exact
-rational whenever the underlying values are integers: root tables at ell = 2,
-every squashed table, and every fold table. Root tables for ell >= 3 use
-double precision and are checked to normalize within 1e-9.
+a mixed-radix outcome space (position 0 most significant). Tables are exact,
+integer numerators over one shared denominator, whenever the underlying values
+are integers: root tables at ell = 2, every squashed table, and every fold
+table. Root tables for ell >= 3 use double precision, normalized within 1e-9.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import NumericalCheckError, ParityError, ShapeMismatchError, SizeGuardError
 from .evaluate import (
     ENUMERATION_GUARD,
+    INT64_LIMIT,
     block_points,
     block_sizes,
     evaluate_values_batch,
@@ -36,6 +38,8 @@ DOUBLE = "double"
 TABLE_SIZE_GUARD = 1 << 26
 DOUBLE_NORMALIZATION_TOL = 1e-9
 EXACT_BINOMIAL_GUARD = 1 << 20
+# Integers below 2^53 convert to float64 exactly.
+FLOAT_EXACT = 1 << 53
 
 
 def mixed_radix_index(digits: Sequence[int], radix: int) -> int:
@@ -52,97 +56,123 @@ def mixed_radix_digits(index: int, radix: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def exact_weights(numerators, denominator: int) -> np.ndarray:
+    """int64 numerators when the denominator, which bounds every valid entry, is below 2^63; else Python ints."""
+    return np.asarray(numerators, dtype=np.int64 if denominator < INT64_LIMIT else object)
+
+
 @dataclass(eq=False)
 class ProbabilityTable:
-    """Dense distribution over radix**length outcomes.
+    """Dense distribution over radix**length outcomes, flat index position 0 most significant.
 
-    ``probs`` is a list of Fractions (rational arithmetic) or a float64
-    array (double arithmetic). Outcome tuples map to flat indices with
-    position 0 most significant.
+    Exact tables hold integer numerators (``exact_weights``) over one shared
+    ``denominator`` and index to Fractions; double tables hold float64
+    probabilities over denominator 1.
     """
 
     radix: int
     length: int
-    probs: object
-    arithmetic: str
-    _cdf: np.ndarray | None = field(default=None, repr=False, compare=False)
+    weights: np.ndarray
+    denominator: int = 1
 
     def __post_init__(self):
-        if self.arithmetic not in (RATIONAL, DOUBLE):
-            raise ValueError(f"unknown arithmetic {self.arithmetic!r}")
-        if self.size != len(self.probs):
+        weights = np.asarray(self.weights)
+        if weights.dtype.kind == "f":
+            if self.denominator != 1:
+                raise ValueError("double tables hold probabilities, with denominator 1")
+            self.weights = weights.astype(np.float64, copy=False)
+        else:
+            self.weights = exact_weights(weights, self.denominator)
+        if self.weights.shape != (self.size,):
             raise ShapeMismatchError(
-                f"table has {len(self.probs)} entries; radix**length is {self.size}"
+                f"table has {len(self.weights)} entries; radix**length is {self.size}"
             )
         self.validate_normalization()
+
+    @property
+    def arithmetic(self) -> str:
+        return DOUBLE if self.weights.dtype == np.float64 else RATIONAL
 
     @property
     def size(self) -> int:
         return self.radix**self.length
 
-    def __len__(self) -> int:
-        return self.size
-
     def __getitem__(self, flat_index: int):
-        return self.probs[flat_index]
+        w = self.weights[flat_index]
+        return w if self.arithmetic == DOUBLE else Fraction(int(w), self.denominator)
 
     def probability_of(self, outcome: Sequence[int]):
-        return self.probs[mixed_radix_index(outcome, self.radix)]
-
-    def outcome_of(self, flat_index: int) -> tuple[int, ...]:
-        return mixed_radix_digits(flat_index, self.radix, self.length)
+        return self[mixed_radix_index(outcome, self.radix)]
 
     def as_floats(self) -> np.ndarray:
         if self.arithmetic == DOUBLE:
-            return np.asarray(self.probs, dtype=np.float64)
-        return np.array([float(p) for p in self.probs], dtype=np.float64)
+            return self.weights
+        if self.denominator < FLOAT_EXACT:
+            # Both operands are exact doubles, so each quotient is correctly rounded.
+            return self.weights / self.denominator
+        return np.array([w / self.denominator for w in self.weights.tolist()], dtype=np.float64)
 
-    def validate_normalization(self) -> None:
-        if self.arithmetic == RATIONAL:
-            if any(p < 0 for p in self.probs):
-                raise NumericalCheckError("negative probability in rational table")
-            total = sum(self.probs)
-            if total != 1:
-                raise NumericalCheckError(f"rational table sums to {total}, not 1")
-        else:
-            arr = np.asarray(self.probs, dtype=np.float64)
-            if float(arr.min(initial=0.0)) < -1e-15:
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        return np.cumsum(self.as_floats())
+
+    def validate_normalization(self):
+        """Raise unless the table sums to 1; return the numerator sum (exact) or |sum - 1| (double)."""
+        w = self.weights
+        if self.arithmetic == DOUBLE:
+            if float(w.min(initial=0.0)) < -1e-15:
                 raise NumericalCheckError("negative probability in double table")
-            drift = abs(float(arr.sum()) - 1.0)
+            drift = abs(float(w.sum()) - 1.0)
             if drift > DOUBLE_NORMALIZATION_TOL:
                 raise NumericalCheckError(f"double table normalization off by {drift:.3e}")
+            return drift
+        if w.min(initial=0) < 0:
+            raise NumericalCheckError("negative probability in rational table")
+        # The int64 sum cannot wrap when size * max entry stays below 2^63.
+        fits = self.size * int(w.max(initial=0)) < INT64_LIMIT
+        total = int(w.sum()) if fits else sum(w.tolist())
+        if total != self.denominator:
+            raise NumericalCheckError(f"rational table sums to {Fraction(total, self.denominator)}, not 1")
+        return total
 
     # -- serialization ------------------------------------------------------
 
+    def _entries(self) -> list:
+        """JSON/CSV entries: reduced "p/q" strings (exact) or floats (double)."""
+        if self.arithmetic == DOUBLE:
+            return self.weights.tolist()
+        common = np.gcd(self.weights, self.denominator)
+        pairs = zip((self.weights // common).tolist(), (self.denominator // common).tolist())
+        return [f"{p}/{q}" for p, q in pairs]
+
     def to_json_dict(self) -> dict:
-        if self.arithmetic == RATIONAL:
-            entries = [f"{p.numerator}/{p.denominator}" for p in self.probs]
-        else:
-            entries = [float(p) for p in self.probs]
         return {
             "radix": self.radix,
             "length": self.length,
             "arithmetic": self.arithmetic,
-            "probs": entries,
+            "probs": self._entries(),
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ProbabilityTable":
-        arithmetic = doc["arithmetic"]
-        if arithmetic == RATIONAL:
-            probs = [Fraction(e) for e in doc["probs"]]
-        else:
-            probs = np.asarray(doc["probs"], dtype=np.float64)
-        return ProbabilityTable(int(doc["radix"]), int(doc["length"]), probs, arithmetic)
+        arithmetic, radix, length = doc["arithmetic"], int(doc["radix"]), int(doc["length"])
+        if arithmetic == DOUBLE:
+            return ProbabilityTable(radix, length, np.asarray(doc["probs"], dtype=np.float64))
+        if arithmetic != RATIONAL:
+            raise ValueError(f"unknown arithmetic {arithmetic!r}")
+        entries = [Fraction(e) for e in doc["probs"]]
+        if any(not 0 <= e <= 1 for e in entries):
+            raise NumericalCheckError("rational table has an entry outside [0, 1]")
+        denominator = lcm(*(e.denominator for e in entries))
+        numerators = [e.numerator * (denominator // e.denominator) for e in entries]
+        return ProbabilityTable(radix, length, exact_weights(numerators, denominator), denominator)
 
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream)
         writer.writerow(["index", "outcome", "probability"])
-        for i in range(self.size):
-            outcome = ",".join(str(d) for d in self.outcome_of(i))
-            p = self.probs[i]
-            text = f"{p.numerator}/{p.denominator}" if self.arithmetic == RATIONAL else repr(float(p))
-            writer.writerow([i, outcome, text])
+        for i, entry in enumerate(self._entries()):
+            outcome = mixed_radix_digits(i, self.radix, self.length)
+            writer.writerow([i, ",".join(str(d) for d in outcome), entry])
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +193,7 @@ def exact_table_roots(spec: PolynomialSpec, ell: int, guard: int = TABLE_SIZE_GU
     masks = [monomial_of_index(spec, z) for z in range(m)]
     if ell == 2:
         values = _signed_sums_over_hypercube(masks, n)
-        denom = size * m
-        probs = [Fraction(int(v) * int(v), denom) for v in values]
-        return ProbabilityTable(2, n, probs, RATIONAL)
+        return ProbabilityTable(2, n, values * values, size * m)
     amp = np.zeros(size, dtype=np.complex128)
     omega_pow = np.exp(2j * np.pi * np.arange(ell) / ell)
     idx = np.arange(size, dtype=np.int64)
@@ -175,8 +203,7 @@ def exact_table_roots(spec: PolynomialSpec, ell: int, guard: int = TABLE_SIZE_GU
             if bit:
                 exp_sum += (idx // ell ** (n - 1 - i)) % ell
         amp += omega_pow[exp_sum % ell]
-    probs = (amp.real**2 + amp.imag**2) / (size * m)
-    return ProbabilityTable(ell, n, probs, DOUBLE)
+    return ProbabilityTable(ell, n, (amp.real**2 + amp.imag**2) / (size * m))
 
 
 def _signed_sums_over_hypercube(masks: Iterable[Sequence[int]], n: int) -> np.ndarray:
@@ -249,19 +276,14 @@ def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_G
     size = (k + 1) ** n
     if size > guard:
         raise SizeGuardError(f"table of {size} outcomes exceeds guard {guard}")
-    denom = 2 ** (k * n) * k**d * m
     numerators = []
     for values, orbits in squashed_points(n, k, block_points(spec)):
         for vals, orbit in zip(values.tolist(), orbits.tolist()):
             q = evaluate_values_fast(spec, vals)
             numerators.append(q * q * orbit)
-    total = sum(numerators)
-    if total != denom:
-        raise NumericalCheckError(
-            f"squashed normalization identity failed: sum {total} != 2^kn * Var = {denom}"
-        )
-    probs = [Fraction(numer, denom) for numer in numerators]
-    return ProbabilityTable(k + 1, n, probs, RATIONAL)
+    # The constructor checks the identity sum(Q^2 * orbit) = 2^{kn} * Var.
+    denominator = 2 ** (k * n) * k**d * m
+    return ProbabilityTable(k + 1, n, exact_weights(numerators, denominator), denominator)
 
 
 def exact_table_fold(truth_table: Sequence[int], max_bits: int = 20) -> ProbabilityTable:
@@ -284,8 +306,7 @@ def exact_table_fold(truth_table: Sequence[int], max_bits: int = 20) -> Probabil
         raise NumericalCheckError(
             f"Parseval identity failed: sum of squared coefficients {total} != 4^n = {denom}"
         )
-    probs = [Fraction(int(w) * int(w), denom) for w in spectrum]
-    return ProbabilityTable(2, n, probs, RATIONAL)
+    return ProbabilityTable(2, n, np.square(spectrum), denom)
 
 
 def _walsh_transform(values: np.ndarray) -> np.ndarray:
@@ -394,12 +415,11 @@ def _binomial_cdf_table(k: int) -> list[int]:
 
 def sample_from_table(table: ProbabilityTable, rng: RandomSource) -> int:
     """Draw a flat outcome index by inverse CDF (first index whose cdf exceeds u)."""
-    if table._cdf is None:
-        table._cdf = np.cumsum(table.as_floats())
+    cdf = table.cdf
     # Float drift can end the CDF below 1; a draw past its end goes to the
     # last outcome with mass instead of one past the table.
-    u = min(rng.random(), np.nextafter(table._cdf[-1], 0.0))
-    return int(np.searchsorted(table._cdf, u, side="right"))
+    u = min(rng.random(), np.nextafter(cdf[-1], 0.0))
+    return int(np.searchsorted(cdf, u, side="right"))
 
 
 def tv_distance(a: ProbabilityTable, b: ProbabilityTable) -> float:
@@ -408,5 +428,8 @@ def tv_distance(a: ProbabilityTable, b: ProbabilityTable) -> float:
             f"shape ({a.radix}, {a.length}) vs ({b.radix}, {b.length})"
         )
     if a.arithmetic == RATIONAL and b.arithmetic == RATIONAL:
-        return float(sum(abs(p - q) for p, q in zip(a.probs, b.probs)) / 2)
+        # Numerators over the lcm L; their absolute differences sum to at most 2L.
+        common = lcm(a.denominator, b.denominator)
+        wa, wb = (exact_weights(t.weights, 2 * common) * (common // t.denominator) for t in (a, b))
+        return int(np.abs(wa - wb).sum()) / (2 * common)
     return float(np.abs(a.as_floats() - b.as_floats()).sum() / 2.0)

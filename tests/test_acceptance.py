@@ -138,7 +138,7 @@ def test_criterion_5_pushforward_identity():
             x = [1 - 2 * b for b in bits]
             classes = tuple((v + k) // 2 for v in collapse_assignment(x, k).values)
             pushed[mixed_radix_index(classes, k + 1)] += signs[flat]
-        if pushed != list(squashed.probs):
+        if pushed != list(squashed):
             failures.append(f"pushforward mismatch at k={k}")
     _finish("5 pushforward identity", 30.0, start, failures)
 
