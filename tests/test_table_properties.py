@@ -90,6 +90,10 @@ def test_width_edge_at_two_to_the_63():
     assert ProbabilityTable(2, 1, np.array([below - 1, 1]), below).weights.dtype == np.int64
     table = ProbabilityTable(2, 1, np.array([at - 1, 1], dtype=object), at)
     assert table.weights.dtype == object and table[1] == Fraction(1, at)
+    # Both tables are int64, but their absolute differences sum to 2^64 - 2.
+    a = ProbabilityTable(2, 1, np.array([below, 0]), below)
+    b = ProbabilityTable(2, 1, np.array([0, below]), below)
+    assert tv_distance(a, b) == 1.0
 
 
 def test_int64_sum_that_would_wrap_to_the_denominator_is_rejected():
