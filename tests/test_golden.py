@@ -77,6 +77,10 @@ CASES = {
                                            "--k", "1", *_REDUCTION, "--beta", "0.0001", "--seed", "10"],
     "dist_squashed_perm2_k2_csv": ["dist", "squashed", "--family", "permanent", "--n", "2", "--k", "2",
                                    "--format", "csv"],
+    "squash_matrix_k2": ["squash", "matrix", "--k", "2"],
+    # Exact binomial draws at a k far above the other cases' k <= 3.
+    "dist_variance_perm2_k3000": ["dist", "variance", "--family", "permanent", "--n", "2", "--k", "3000",
+                                  "--samples", "20", "--seed", "3"],
 }
 
 
