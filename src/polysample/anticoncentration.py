@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import check_size
 from .evaluate import block_points, block_sizes, squared_values
 from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
@@ -93,8 +93,7 @@ def anticoncentration_experiment(
     if exhaustive:
         n = spec.n_vars
         size = param**n if mode == "roots" else (param + 1) ** n
-        if size > EXHAUSTIVE_GUARD:
-            raise SizeGuardError(f"exhaustive space of {size} points exceeds guard {EXHAUSTIVE_GUARD}")
+        check_size("exhaustive point space", size, EXHAUSTIVE_GUARD)
         # Point weights are 1 / ell^n (roots) or orbit / 2^{kn} (integer).
         denom = size if mode == "roots" else 2 ** (param * n)
         zero, *hits = _tally(_exhaustive_points(spec, mode, param, evaluator), cutoffs)

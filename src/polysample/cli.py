@@ -4,7 +4,7 @@ Every subcommand emits a single JSON document {command, params, seed,
 results, checks, timestamp} (CSV is available as a projection for tabular
 payloads) and self-checks against its analytic oracle where one exists.
 Exit status: 0 all checks passed, 1 a verification check failed, 2 bad
-configuration, 3 size-guard rejection.
+configuration, 3 size guard rejection.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .families import (
 )
 from .reductions import multiplicative_lift, run_roots_reduction, run_squashed_reduction
 from .rng import RandomSource
-from .squashed import build_squashed_transform, unitarity_residual
+from .squashed import build_squashed_transform, unitarity_residual, weighted_gram
 from .statevector import (
     apply_qft,
     measurement_distribution,
@@ -123,11 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _sub(dist_sub, "roots", cmd_dist_roots, "dist roots", tabular=True)
     _spec_flags(p)
     p.add_argument("--ell", type=int, required=True)
-    _guard_flag(p)
     p = _sub(dist_sub, "squashed", cmd_dist_squashed, "dist squashed", tabular=True)
     _spec_flags(p)
     p.add_argument("--k", type=int, required=True)
-    _guard_flag(p)
     p = _sub(dist_sub, "fold", cmd_dist_fold, "dist fold", tabular=True)
     _fold_flags(p)
     p = _sub(dist_sub, "variance", cmd_dist_variance, "dist variance")
@@ -141,12 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_flags(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--dump-state", help="write the pre-measurement statevector JSON here")
-    _guard_flag(p)
     p = _sub(sim_sub, "squashed", cmd_sim_squashed, "sim squashed", tabular=True)
     _spec_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dump-state", help="write the pre-measurement statevector JSON here")
-    _guard_flag(p)
     p = _sub(sim_sub, "fold", cmd_sim_fold, "sim fold", tabular=True)
     _fold_flags(p)
 
@@ -215,21 +211,6 @@ def _spec_flags(p):
     p.add_argument("--family", choices=["permanent", "hamiltonian_cycle"], required=True)
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--lift", type=int, help="replace each variable by a sum of this many copies")
-
-
-HARD_SIZE_CEILING = 1 << 26
-
-
-def _guard_flag(p):
-    p.add_argument("--size-guard", type=int, default=HARD_SIZE_CEILING,
-                   help=f"reject tables/statevectors above this many entries (ceiling {HARD_SIZE_CEILING})")
-
-
-def _validated_guard(args) -> int:
-    guard = args.size_guard
-    if guard < 1 or guard > HARD_SIZE_CEILING:
-        raise ValueError(f"--size-guard must lie in [1, {HARD_SIZE_CEILING}]")
-    return guard
 
 
 def _fold_flags(p):
@@ -374,7 +355,7 @@ def cmd_poly_unrank(args):
 
 def cmd_dist_roots(args):
     spec = _build_spec(args)
-    table = exact_table_roots(spec, args.ell, guard=_validated_guard(args))
+    table = exact_table_roots(spec, args.ell)
     results = {"table": table.to_json_dict()}
     measured = table.validate_normalization()
     if table.arithmetic == RATIONAL:
@@ -388,7 +369,7 @@ def cmd_dist_roots(args):
 
 def cmd_dist_squashed(args):
     spec = _build_spec(args)
-    table = exact_table_squashed(spec, args.k, guard=_validated_guard(args))
+    table = exact_table_squashed(spec, args.k)
     results = {"table": table.to_json_dict(), "class_value_map": "value = 2*class - k"}
     total = table.validate_normalization()
     checks = [_check("normalization_identity", total == table.denominator,
@@ -399,8 +380,9 @@ def cmd_dist_squashed(args):
 def cmd_dist_fold(args):
     table = exact_table_fold(_truth_table(args))
     results = {"table": table.to_json_dict()}
-    checks = [_check("normalization", True,
-                     f"sum of squared Walsh coefficients equals 4^n = {table.size**2} exactly")]
+    total = table.validate_normalization()
+    checks = [_check("normalization", total == table.denominator,
+                     f"sum of squared Walsh coefficients = {total}, 4^n = {table.denominator}")]
     return results, checks, _table_projection(table)
 
 
@@ -426,13 +408,12 @@ def cmd_dist_variance(args):
 
 def cmd_sim_es(args):
     spec = _build_spec(args)
-    guard = _validated_guard(args)
-    state = apply_qft(prepare_monomial_superposition(spec, args.ell, guard=guard))
+    state = apply_qft(prepare_monomial_superposition(spec, args.ell))
     if args.dump_state:
         with open(args.dump_state, "w") as handle:
             json.dump(state.to_json_dict(), handle)
     simulated = measurement_distribution(state)
-    analytic = exact_table_roots(spec, args.ell, guard=guard)
+    analytic = exact_table_roots(spec, args.ell)
     tv = tv_distance(simulated, analytic)
     results = {"table": simulated.to_json_dict(), "tv_vs_analytic": tv, "norm": state.norm()}
     checks = [
@@ -444,14 +425,13 @@ def cmd_sim_es(args):
 
 def cmd_sim_squashed(args):
     spec = _build_spec(args)
-    guard = _validated_guard(args)
     transform = build_squashed_transform(args.k)
-    state = squashed_circuit_state(spec, args.k, transform, guard=guard)
+    state = squashed_circuit_state(spec, args.k, transform)
     if args.dump_state:
         with open(args.dump_state, "w") as handle:
             json.dump(state.to_json_dict(), handle)
     simulated = squashed_measurement_distribution(state)
-    analytic = exact_table_squashed(spec, args.k, guard=guard)
+    analytic = exact_table_squashed(spec, args.k)
     tv = tv_distance(simulated, analytic)
     amp_dev = _amplitude_formula_deviation(spec, args.k, transform, simulated)
     results = {"table": simulated.to_json_dict(), "tv_vs_analytic": tv,
@@ -496,12 +476,12 @@ def cmd_sim_fold(args):
 def cmd_squash_matrix(args):
     transform = build_squashed_transform(args.k)
     residual = unitarity_residual(transform)
+    _, off_diagonal = weighted_gram(transform.core, transform.class_sizes)
     results = {"transform": transform.to_json_dict(), "unitarity_residual": residual}
     checks = [
         _check("unitarity", residual <= 1e-9, f"max |U^T U - I| = {residual:.3e}"),
-        _check("column_orthogonality", True,
-               "exact integer Gram check passed at construction, which raises on any nonzero "
-               "off-diagonal entry"),
+        _check("column_orthogonality", off_diagonal == 0,
+               f"max |off-diagonal weighted Gram entry| = {off_diagonal} (exact integers)"),
     ]
     return results, checks, None
 

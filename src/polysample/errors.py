@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dense-size guard."""
+
+# Entries of the largest root or squashed table, or qudit statevector, built.
+SIZE_GUARD = 1 << 26
+# The fold table and the fold circuit stop at 20 bits and 13 qubits.
+FOLD_TABLE_GUARD = 1 << 20
+FOLD_CIRCUIT_GUARD = 1 << 13
 
 
 class PolySampleError(Exception):
@@ -11,6 +17,12 @@ class SizeGuardError(PolySampleError):
     Guards are checked arithmetically before any large allocation happens,
     so hitting one is cheap. The CLI maps this to exit status 3.
     """
+
+
+def check_size(what: str, entries: int, limit: int = SIZE_GUARD) -> None:
+    """Raise SizeGuardError before a dense object of more than ``limit`` entries is built."""
+    if entries > limit:
+        raise SizeGuardError(f"{what} of {entries} entries exceeds the size guard {limit}")
 
 
 class InvalidMonomialError(PolySampleError, ValueError):

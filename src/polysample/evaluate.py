@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, check_size
 from .families import (
     HAMILTONIAN_CYCLE,
     LIFTED,
@@ -45,20 +45,17 @@ _SQUARE_LIMIT = isqrt(INT64_LIMIT - 1)  # a larger |q| may not square in int64
 _log = logging.getLogger(__name__)
 
 
-def evaluate_by_enumeration(spec: PolynomialSpec, x: Assignment, guard: int = ENUMERATION_GUARD):
-    return evaluate_values_by_enumeration(spec, _checked_values(spec, x), guard=guard)
+def evaluate_by_enumeration(spec: PolynomialSpec, x: Assignment):
+    return evaluate_values_by_enumeration(spec, _checked_values(spec, x))
 
 
 def evaluate_fast(spec: PolynomialSpec, x: Assignment):
     return evaluate_values_fast(spec, _checked_values(spec, x))
 
 
-def evaluate_values_by_enumeration(spec: PolynomialSpec, values: Sequence, guard: int = ENUMERATION_GUARD):
+def evaluate_values_by_enumeration(spec: PolynomialSpec, values: Sequence):
     """Sum over all monomials of the product of the selected values."""
-    if spec.num_monomials > guard:
-        raise SizeGuardError(
-            f"enumeration over {spec.num_monomials} monomials exceeds guard {guard}"
-        )
+    check_size("monomial enumeration", spec.num_monomials, ENUMERATION_GUARD)
     total = 0
     for z in range(spec.num_monomials):
         mask = monomial_of_index(spec, z)

@@ -45,9 +45,12 @@ class RandomSource:
         """Uniform integer in [0, 2**bits) for arbitrarily large bit counts."""
         if bits <= 0:
             raise ValueError("bits must be positive")
+        # Generator.bytes(nbytes) without its overhead: ceil(nbytes / 4) uint32 draws, little-endian.
         nbytes = (bits + 7) // 8
-        value = int.from_bytes(self._gen.bytes(nbytes), "big")
-        return value >> (8 * nbytes - bits)
+        nwords = (nbytes + 3) // 4
+        words = self._gen.integers(0, 1 << 32, size=None if nwords == 1 else nwords, dtype=np.uint32)
+        raw = int(words).to_bytes(4, "little") if nwords == 1 else words.astype("<u4").tobytes()
+        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - bits)
 
 
 _MASK64 = (1 << 64) - 1

@@ -81,31 +81,42 @@ def build_squashed_transform(k: int) -> SquashedTransform:
 
     # Orthogonality of the weighted columns holds exactly in integers; a
     # nonzero off-diagonal Gram entry means the construction is wrong.
-    norms_sq = [0] * (k + 1)
-    for a in range(k + 1):
-        for b in range(a, k + 1):
-            g = sum(sizes[i] * core[i][a] * core[i][b] for i in range(k + 1))
-            if a == b:
-                norms_sq[a] = g
-            elif g != 0:
-                raise NumericalCheckError(f"columns {a} and {b} not orthogonal (gram {g})")
+    norms_sq, off_diagonal = weighted_gram(core, sizes)
+    if off_diagonal != 0:
+        raise NumericalCheckError(f"weighted columns not orthogonal (Gram entry {off_diagonal})")
 
     row_weight = np.sqrt(np.array(sizes, dtype=np.float64))
     col_scale = 1.0 / np.sqrt(np.array(norms_sq, dtype=np.float64))
-    unitary = row_weight[:, None] * np.array(core, dtype=np.float64) * col_scale[None, :]
-    residual = float(np.abs(unitary.T @ unitary - np.eye(k + 1)).max())
-    if residual > UNITARITY_TOL:
-        raise NumericalCheckError(f"unitarity residual {residual:.3e} exceeds {UNITARITY_TOL}")
-
-    return SquashedTransform(
+    transform = SquashedTransform(
         k=k,
         core=tuple(tuple(row) for row in core),
         class_sizes=tuple(sizes),
         column_norms_sq=tuple(norms_sq),
-        unitary=unitary,
+        unitary=row_weight[:, None] * np.array(core, dtype=np.float64) * col_scale[None, :],
         r0=float(col_scale[0]),
         r1=float(col_scale[1]),
     )
+    residual = unitarity_residual(transform)
+    if residual > UNITARITY_TOL:
+        raise NumericalCheckError(f"unitarity residual {residual:.3e} exceeds {UNITARITY_TOL}")
+    return transform
+
+
+def weighted_gram(core, class_sizes) -> tuple[list[int], int]:
+    """Squared column norms and largest |off-diagonal entry| of the weighted columns' exact Gram matrix.
+
+    Entry (a, b) is sum_i class_sizes[i] * core[i][a] * core[i][b].
+    """
+    width = len(core[0])
+    diagonal, off_diagonal = [], 0
+    for a in range(width):
+        for b in range(a, width):
+            g = sum(size * row[a] * row[b] for size, row in zip(class_sizes, core))
+            if a == b:
+                diagonal.append(g)
+            else:
+                off_diagonal = max(off_diagonal, abs(g))
+    return diagonal, off_diagonal
 
 
 def unitarity_residual(transform: SquashedTransform) -> float:

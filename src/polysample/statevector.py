@@ -13,14 +13,12 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NumericalCheckError, SizeGuardError
+from .errors import FOLD_CIRCUIT_GUARD, NumericalCheckError, check_size
 from .families import PolynomialSpec, monomial_of_index
 from .squashed import SquashedTransform, build_squashed_transform
 from .tables import ProbabilityTable, mixed_radix_index
 
-STATE_SIZE_GUARD = 1 << 26
 NORM_TOL = 1e-9
-FOLD_CIRCUIT_MAX_QUBITS = 13
 
 
 @dataclass
@@ -49,9 +47,7 @@ class StateVector:
         }
 
 
-def prepare_monomial_superposition(
-    spec: PolynomialSpec, qudit_dim: int, guard: int = STATE_SIZE_GUARD
-) -> StateVector:
+def prepare_monomial_superposition(spec: PolynomialSpec, qudit_dim: int) -> StateVector:
     """Uniform superposition over the family's monomial masks (levels 0/1).
 
     Amplitudes are placed directly; the two-register prepare/uncompute
@@ -60,10 +56,8 @@ def prepare_monomial_superposition(
     """
     if qudit_dim < 2:
         raise ValueError("qudit dimension must be >= 2")
-    guard = min(guard, STATE_SIZE_GUARD)
     size = qudit_dim**spec.n_vars
-    if size > guard:
-        raise SizeGuardError(f"statevector of {size} amplitudes exceeds guard {guard}")
+    check_size("statevector", size)
     amps = np.zeros(size, dtype=np.complex128)
     weight = 1.0 / sqrt(spec.num_monomials)
     for z in range(spec.num_monomials):
@@ -103,28 +97,23 @@ def measurement_distribution(state: StateVector) -> ProbabilityTable:
     return ProbabilityTable(state.qudit_dim, state.num_qudits, np.abs(state.amps) ** 2)
 
 
-def run_roots_sampler_circuit(
-    spec: PolynomialSpec, ell: int, guard: int = STATE_SIZE_GUARD
-) -> ProbabilityTable:
+def run_roots_sampler_circuit(spec: PolynomialSpec, ell: int) -> ProbabilityTable:
     """Monomial superposition on ell-level qudits, Fourier transform, measure."""
-    state = prepare_monomial_superposition(spec, ell, guard=guard)
+    state = prepare_monomial_superposition(spec, ell)
     state = apply_qft(state)
     state.validate_norm()
     return measurement_distribution(state)
 
 
 def squashed_circuit_state(
-    spec: PolynomialSpec,
-    k: int,
-    transform: SquashedTransform | None = None,
-    guard: int = STATE_SIZE_GUARD,
+    spec: PolynomialSpec, k: int, transform: SquashedTransform | None = None
 ) -> StateVector:
     """Pre-measurement state: monomial superposition on (k+1)-level qudits, squashed transform."""
     if transform is None:
         transform = build_squashed_transform(k)
     elif transform.k != k:
         raise ValueError(f"transform is for k = {transform.k}, not {k}")
-    state = prepare_monomial_superposition(spec, k + 1, guard=guard)
+    state = prepare_monomial_superposition(spec, k + 1)
     for qudit in range(state.num_qudits):
         state = apply_single_qudit_gate(state, transform.unitary, qudit)
     return state
@@ -144,13 +133,10 @@ def squashed_measurement_distribution(state: StateVector) -> ProbabilityTable:
 
 
 def run_squashed_sampler_circuit(
-    spec: PolynomialSpec,
-    k: int,
-    transform: SquashedTransform | None = None,
-    guard: int = STATE_SIZE_GUARD,
+    spec: PolynomialSpec, k: int, transform: SquashedTransform | None = None
 ) -> ProbabilityTable:
     """Monomial superposition on (k+1)-level qudits, squashed transform, measure."""
-    return squashed_measurement_distribution(squashed_circuit_state(spec, k, transform, guard))
+    return squashed_measurement_distribution(squashed_circuit_state(spec, k, transform))
 
 
 def run_fold_sampler_circuit(truth_table) -> ProbabilityTable:
@@ -159,8 +145,7 @@ def run_fold_sampler_circuit(truth_table) -> ProbabilityTable:
     n = len(values).bit_length() - 1
     if len(values) != 1 << n or n < 1:
         raise ValueError(f"truth table length {len(values)} is not a power of two")
-    if n > FOLD_CIRCUIT_MAX_QUBITS:
-        raise SizeGuardError(f"fold circuit capped at {FOLD_CIRCUIT_MAX_QUBITS} qubits, got {n}")
+    check_size("fold circuit state", len(values), FOLD_CIRCUIT_GUARD)
     if not np.all(np.abs(values) == 1):
         raise ValueError("truth table entries must be +-1")
     amps = values.astype(np.complex128) / sqrt(len(values))

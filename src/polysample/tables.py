@@ -15,12 +15,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericalCheckError, ParityError, ShapeMismatchError, SizeGuardError
+from .errors import FOLD_TABLE_GUARD, NumericalCheckError, ParityError, ShapeMismatchError, check_size
 from .evaluate import (
     ENUMERATION_GUARD,
     INT64_LIMIT,
@@ -35,9 +36,10 @@ from .rng import RandomSource
 RATIONAL = "rational"
 DOUBLE = "double"
 
-TABLE_SIZE_GUARD = 1 << 26
 DOUBLE_NORMALIZATION_TOL = 1e-9
-EXACT_BINOMIAL_GUARD = 1 << 20
+# Largest k drawn exactly: its memoized cdf row of k + 1 integers of up to
+# k + 1 bits takes about k^2 / 8 bytes (32 MiB here) and 0.1 s to build.
+EXACT_BINOMIAL_GUARD = 1 << 14
 # Integers below 2^53 convert to float64 exactly.
 FLOAT_EXACT = 1 << 53
 
@@ -179,17 +181,14 @@ class ProbabilityTable:
 # exact target tables
 
 
-def exact_table_roots(spec: PolynomialSpec, ell: int, guard: int = TABLE_SIZE_GUARD) -> ProbabilityTable:
+def exact_table_roots(spec: PolynomialSpec, ell: int) -> ProbabilityTable:
     """Distribution over [0, ell-1]^n with mass |Q(root-of-unity point)|^2 / (ell^n * m)."""
     if ell < 2:
         raise ValueError("ell must be >= 2 (ell = 1 is degenerate)")
     n, m = spec.n_vars, spec.num_monomials
-    guard = min(guard, TABLE_SIZE_GUARD)
     size = ell**n
-    if size > guard:
-        raise SizeGuardError(f"table of {size} outcomes exceeds guard {guard}")
-    if m > ENUMERATION_GUARD:
-        raise SizeGuardError(f"{m} monomials exceed the enumeration guard {ENUMERATION_GUARD}")
+    check_size("table", size)
+    check_size("monomial list", m, ENUMERATION_GUARD)
     masks = [monomial_of_index(spec, z) for z in range(m)]
     if ell == 2:
         values = _signed_sums_over_hypercube(masks, n)
@@ -262,7 +261,7 @@ def squashed_points(n: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.
         yield 2 * classes - k, weights[classes].prod(axis=1)
 
 
-def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_GUARD) -> ProbabilityTable:
+def exact_table_squashed(spec: PolynomialSpec, k: int) -> ProbabilityTable:
     """Class-indexed distribution over [-k, k]^n with mass Q(y)^2 * orbit(y) / (2^{kn} * Var).
 
     Classes count +1 entries per block (0..k); class c encodes the value
@@ -272,10 +271,7 @@ def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_G
     if k < 1:
         raise ValueError("k must be >= 1")
     n, m, d = spec.n_vars, spec.num_monomials, spec.degree
-    guard = min(guard, TABLE_SIZE_GUARD)
-    size = (k + 1) ** n
-    if size > guard:
-        raise SizeGuardError(f"table of {size} outcomes exceeds guard {guard}")
+    check_size("table", (k + 1) ** n)
     numerators = []
     for values, orbits in squashed_points(n, k, block_points(spec)):
         for vals, orbit in zip(values.tolist(), orbits.tolist()):
@@ -286,14 +282,13 @@ def exact_table_squashed(spec: PolynomialSpec, k: int, guard: int = TABLE_SIZE_G
     return ProbabilityTable(k + 1, n, exact_weights(numerators, denominator), denominator)
 
 
-def exact_table_fold(truth_table: Sequence[int], max_bits: int = 20) -> ProbabilityTable:
+def exact_table_fold(truth_table: Sequence[int]) -> ProbabilityTable:
     """Squared, normalized Walsh spectrum of a +-1 truth table."""
     size = len(truth_table)
     n = size.bit_length() - 1
     if size != 1 << n or n < 1:
         raise ValueError(f"truth table length {size} is not a power of two")
-    if n > max_bits:
-        raise SizeGuardError(f"fold table capped at n = {max_bits} bits, got {n}")
+    check_size("fold table", size, FOLD_TABLE_GUARD)
     values = np.asarray(truth_table, dtype=np.int64)
     if not np.all(np.abs(values) == 1):
         raise ValueError("truth table entries must be +-1")
@@ -344,7 +339,7 @@ def variance(spec: PolynomialSpec, k: int, samples: int = 0, rng: RandomSource |
         raise ValueError("k must be >= 1")
     m, d = spec.num_monomials, spec.degree
     closed = k**d * m
-    coordinate_second_moment = sum(comb(k, i) * (k - 2 * i) ** 2 for i in range(k + 1))
+    coordinate_second_moment = sum(term * (k - 2 * i) ** 2 for i, term in enumerate(_binomial_row(k)))
     sum_form = Fraction(m * coordinate_second_moment**d, 2 ** (k * d))
     empirical = None
     if samples > 0:
@@ -403,14 +398,16 @@ def _binomial_cdf_table(k: int) -> list[int]:
     # the smallest c with U < cumulative[c].
     table = _BINOMIAL_CDF_CACHE.get(k)
     if table is None:
-        running, table = 0, []
-        for c in range(k + 1):
-            running += comb(k, c)
-            table.append(running)
-        # Only memoize small tables; single draws at huge k stay correct.
-        if k <= 4096:
-            _BINOMIAL_CDF_CACHE[k] = table
+        table = _BINOMIAL_CDF_CACHE[k] = list(accumulate(_binomial_row(k)))
     return table
+
+
+def _binomial_row(k: int) -> Iterator[int]:
+    """C(k, 0), ..., C(k, k) by the running term C(k, c+1) = C(k, c) * (k - c) / (c + 1)."""
+    term = 1
+    for c in range(k + 1):
+        yield term
+        term = term * (k - c) // (c + 1)
 
 
 def sample_from_table(table: ProbabilityTable, rng: RandomSource) -> int:

@@ -248,11 +248,4 @@ def test_non_integer_env_seed_is_a_config_error(capsys, monkeypatch):
     assert code == 0 and doc["seed"] == 7
 
 
-def test_size_guard_flag_lowers_the_guard(capsys):
-    code, out, err = run_cli(capsys, "dist", "roots", "--family", "permanent", "--n", "2",
-                             "--ell", "2", "--size-guard", "8")
-    assert code == 3  # 16 outcomes > 8
-    code, out, err = run_cli(capsys, "dist", "roots", "--family", "permanent", "--n", "2",
-                             "--ell", "2", "--size-guard", str(1 << 27))
-    assert code == 2  # above the hard ceiling
 

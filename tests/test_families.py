@@ -1,6 +1,8 @@
 """Ranking bijections, mask structure, lifting, and the collapse map."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_permanent, lex_cycles, lex_permutations, permutation_mask
 from polysample import (
@@ -17,7 +19,9 @@ from polysample import (
     permanent,
     spec_from_json,
 )
-from polysample.families import LIFTED
+from polysample.families import HAMILTONIAN_CYCLE, LIFTED
+
+FAMILIES = {"permanent": permanent, "hamiltonian_cycle": hamiltonian_cycle}
 
 
 def test_permanent_spec_invariants():
@@ -78,6 +82,71 @@ def test_rank_known_values():
 def test_rank_unrank_round_trip(spec):
     for z in range(spec.num_monomials):
         assert index_of_monomial(spec, monomial_of_index(spec, z)) == z
+
+
+def _lift_past_2_64(base):
+    """The k-copy lift of ``base`` with the fewest copies whose monomial count exceeds 2^64."""
+    m, d = base.num_monomials, base.degree
+    k = max(1, int((2.0**64 / m) ** (1 / d)) - 1)
+    while m * k**d <= 1 << 64:
+        k += 1
+    return lift_k_equivalent(base, k)
+
+
+@st.composite
+def specs_and_indices(draw):
+    """A permanent or Hamiltonian-cycle spec with n <= 12, or a lift of one with more than 2^64 monomials."""
+    make = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    if draw(st.booleans()):
+        spec = _lift_past_2_64(make(draw(st.integers(6, 12))))
+        assert spec.num_monomials > 1 << 64
+    else:
+        spec = make(draw(st.integers(1, 12)))
+    return spec, draw(st.integers(0, spec.num_monomials - 1))
+
+
+def _assert_monomial_structure(spec, mask):
+    assert sum(mask) == spec.degree
+    if spec.family == LIFTED:
+        k = spec.lift_k
+        blocks = [mask[i * k : (i + 1) * k] for i in range(spec.base.n_vars)]
+        assert all(sum(block) <= 1 for block in blocks)
+        _assert_monomial_structure(spec.base, tuple(sum(block) for block in blocks))
+        return
+    n = spec.matrix_n
+    rows = [mask[i * n : (i + 1) * n] for i in range(n)]
+    assert all(sum(row) == 1 for row in rows)
+    successor = [row.index(1) for row in rows]
+    assert sorted(successor) == list(range(n))  # a permutation matrix
+    if spec.family == HAMILTONIAN_CYCLE:
+        at, steps = successor[0], 1
+        while at != 0:
+            at, steps = successor[at], steps + 1
+        assert steps == n  # one n-cycle through vertex 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs_and_indices())
+def test_rank_inverts_unrank_beyond_exhaustive_sizes(spec_and_index):
+    spec, z = spec_and_index
+    assert index_of_monomial(spec, monomial_of_index(spec, z)) == z
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs_and_indices())
+def test_unranked_masks_have_the_family_structure(spec_and_index):
+    spec, z = spec_and_index
+    _assert_monomial_structure(spec, monomial_of_index(spec, z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs_and_indices(), st.data())
+def test_rank_rejects_a_mask_with_one_bit_flipped(spec_and_index, data):
+    spec, z = spec_and_index
+    mask = monomial_of_index(spec, z)
+    i = data.draw(st.integers(0, spec.n_vars - 1))
+    with pytest.raises(InvalidMonomialError):
+        index_of_monomial(spec, mask[:i] + (1 - mask[i],) + mask[i + 1 :])
 
 
 def test_index_out_of_range():

@@ -36,6 +36,17 @@ def test_randbits_range():
         rng.randbits(0)
 
 
+def test_randbits_keeps_the_generator_bytes_stream():
+    # randbits(b) is the top b bits of Generator.bytes(ceil(b / 8)), read big-endian,
+    # with other draws interleaved on the same stream.
+    fast, reference = RandomSource(21, 4), RandomSource(21, 4)._gen
+    for bits in [*range(1, 70), 127, 128, 129, 255, 3000, 4097, 32768]:
+        nbytes = (bits + 7) // 8
+        expected = int.from_bytes(reference.bytes(nbytes), "big") >> (8 * nbytes - bits)
+        assert fast.randbits(bits) == expected
+        assert fast.random() == reference.random()
+
+
 def test_integers_half_open():
     rng = RandomSource(12)
     draws = rng.integers(0, 3, size=300)

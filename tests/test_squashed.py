@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polysample import NumericalCheckError, SizeGuardError, build_squashed_transform, unitarity_residual
-from polysample.squashed import symmetric_polynomial_class_values
+from polysample.squashed import symmetric_polynomial_class_values, weighted_gram
 
 GOLDEN = Path(__file__).parent / "golden" / "squashed_k2.json"
 
@@ -76,6 +76,21 @@ def test_weighted_columns_orthogonal_exactly():
                     for i in range(k + 1)
                 )
                 assert gram == 0
+
+
+def test_weighted_gram_reports_norms_and_largest_off_diagonal():
+    transform = build_squashed_transform(5)
+    assert weighted_gram(transform.core, transform.class_sizes) == (list(transform.column_norms_sq), 0)
+    # columns (1, 1) and (1, -1) weighted by (1, 3): Gram [[4, -2], [-2, 4]]
+    assert weighted_gram([[1, 1], [1, -1]], [1, 3]) == ([4, 4], 2)
+
+
+def test_construction_raises_on_non_orthogonal_columns(monkeypatch):
+    import polysample.squashed as squashed
+
+    monkeypatch.setattr(squashed, "symmetric_polynomial_class_values", lambda k, i: [1] * (k + 1))
+    with pytest.raises(NumericalCheckError, match="not orthogonal"):
+        build_squashed_transform(3)
 
 
 def test_column_convolution_helper():

@@ -1,8 +1,9 @@
 """Exact tables, orbit weights, variance identities, and sampling utilities."""
 
 import json
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 
 import numpy as np
@@ -33,6 +34,9 @@ from polysample import (
     tv_distance,
     variance,
 )
+from polysample import tables
+from polysample.errors import FOLD_CIRCUIT_GUARD, FOLD_TABLE_GUARD, SIZE_GUARD, check_size
+from polysample.tables import EXACT_BINOMIAL_GUARD, binomial_sampling_method
 
 
 def test_mixed_radix_helpers():
@@ -93,6 +97,19 @@ def test_roots_table_rejects_degenerate_ell():
 def test_roots_table_size_guard():
     with pytest.raises(SizeGuardError):
         exact_table_roots(permanent(4), 8)  # 8^16 outcomes
+
+
+@pytest.mark.parametrize("limit", [1, FOLD_CIRCUIT_GUARD, FOLD_TABLE_GUARD, SIZE_GUARD])
+def test_check_size_admits_the_limit_and_rejects_one_more(limit):
+    check_size("table", limit, limit)
+    with pytest.raises(SizeGuardError, match="size guard"):
+        check_size("table", limit + 1, limit)
+
+
+def test_check_size_defaults_to_the_dense_guard():
+    check_size("statevector", SIZE_GUARD)
+    with pytest.raises(SizeGuardError, match="statevector of 67108865 entries"):
+        check_size("statevector", SIZE_GUARD + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +327,25 @@ def test_binomial_mean_within_four_sigma(rng_factory):
     n, k = 100_000, 6
     mean = sum(sample_binomial_value(k, rng) for _ in range(n)) / n
     assert abs(mean) < 4 * (k / n) ** 0.5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 3000])
+def test_binomial_cdf_table_matches_comb(k, monkeypatch):
+    monkeypatch.setattr(tables, "_BINOMIAL_CDF_CACHE", {})
+    assert tables._binomial_cdf_table(k) == list(accumulate(comb(k, c) for c in range(k + 1)))
+
+
+def test_exact_binomial_guard_bounds_the_cdf_table(monkeypatch):
+    # The cdf row at k holds k + 1 integers of up to k + 1 bits: about k^2 / 8 bytes,
+    # built, memoized and held on every exact draw.
+    k = EXACT_BINOMIAL_GUARD
+    assert k * k // 8 <= 32 << 20
+    monkeypatch.setattr(tables, "_BINOMIAL_CDF_CACHE", {})
+    table = tables._binomial_cdf_table(k)
+    assert sum(sys.getsizeof(c) for c in table) <= 40 << 20
+    assert tables._BINOMIAL_CDF_CACHE[k] is table
+    assert binomial_sampling_method(k) == "exact-inverse-cdf"
+    assert binomial_sampling_method(k + 1) == "rounded-normal"
 
 
 def test_binomial_values_have_matching_parity(rng_factory):
