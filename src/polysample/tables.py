@@ -14,7 +14,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
@@ -390,16 +390,12 @@ def sample_binomial_assignment(spec: PolynomialSpec, k: int, rng: RandomSource) 
     return Assignment.integers(k, [sample_binomial_value(k, rng) for _ in range(spec.n_vars)])
 
 
-_BINOMIAL_CDF_CACHE: dict[int, list[int]] = {}
-
-
-def _binomial_cdf_table(k: int) -> list[int]:
+@lru_cache(maxsize=1)
+def _binomial_cdf_table(k: int) -> tuple[int, ...]:
     # cumulative[c] = sum_{i <= c} C(k, i); a k-bit uniform integer U maps to
-    # the smallest c with U < cumulative[c].
-    table = _BINOMIAL_CDF_CACHE.get(k)
-    if table is None:
-        table = _BINOMIAL_CDF_CACHE[k] = list(accumulate(_binomial_row(k)))
-    return table
+    # the smallest c with U < cumulative[c]. Callers draw at one k, so one
+    # row is kept.
+    return tuple(accumulate(_binomial_row(k)))
 
 
 def _binomial_row(k: int) -> Iterator[int]:

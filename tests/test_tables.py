@@ -330,20 +330,23 @@ def test_binomial_mean_within_four_sigma(rng_factory):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 64, 3000])
-def test_binomial_cdf_table_matches_comb(k, monkeypatch):
-    monkeypatch.setattr(tables, "_BINOMIAL_CDF_CACHE", {})
-    assert tables._binomial_cdf_table(k) == list(accumulate(comb(k, c) for c in range(k + 1)))
+def test_binomial_cdf_table_matches_comb(k):
+    assert tables._binomial_cdf_table(k) == tuple(accumulate(comb(k, c) for c in range(k + 1)))
 
 
-def test_exact_binomial_guard_bounds_the_cdf_table(monkeypatch):
+def test_exact_binomial_guard_bounds_the_cdf_table():
     # The cdf row at k holds k + 1 integers of up to k + 1 bits: about k^2 / 8 bytes,
-    # built, memoized and held on every exact draw.
+    # built once and held while draws stay at that k.
     k = EXACT_BINOMIAL_GUARD
     assert k * k // 8 <= 32 << 20
-    monkeypatch.setattr(tables, "_BINOMIAL_CDF_CACHE", {})
-    table = tables._binomial_cdf_table(k)
-    assert sum(sys.getsizeof(c) for c in table) <= 40 << 20
-    assert tables._BINOMIAL_CDF_CACHE[k] is table
+    try:
+        table = tables._binomial_cdf_table(k)
+        assert sum(sys.getsizeof(c) for c in table) <= 40 << 20
+        assert tables._binomial_cdf_table(k) is table
+        tables._binomial_cdf_table(3)
+        assert tables._binomial_cdf_table.cache_info().currsize == 1  # one row held at a time
+    finally:
+        tables._binomial_cdf_table.cache_clear()
     assert binomial_sampling_method(k) == "exact-inverse-cdf"
     assert binomial_sampling_method(k + 1) == "rounded-normal"
 
