@@ -19,7 +19,7 @@ import time
 
 from . import __version__
 from .anticoncentration import DEFAULT_THRESHOLDS, anticoncentration_experiment
-from .errors import NumericalCheckError, PolySampleError, SizeGuardError
+from .errors import FOLD_TABLE_GUARD, NumericalCheckError, PolySampleError, SizeGuardError, check_size
 from .evaluate import block_points, evaluate_by_enumeration, evaluate_fast, evaluate_values_fast
 from .families import (
     Assignment,
@@ -245,6 +245,7 @@ def _truth_table(args):
     n = args.random_bits
     if n is None or n < 1:
         raise ValueError("--random-bits must be >= 1")
+    check_size("fold truth table", 1 << n, FOLD_TABLE_GUARD)
     rng = RandomSource(args.seed)
     return [1 - 2 * int(b) for b in rng.integers(0, 2, size=1 << n)]
 

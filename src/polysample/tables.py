@@ -256,7 +256,7 @@ def squashed_points(n: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.
     int64 rows; orbit weights are int64 when their total 2^{kn} fits, else
     Python ints in an object array.
     """
-    weights = np.array([comb(k, c) for c in range(k + 1)], dtype=np.int64 if k * n < 63 else object)
+    weights = np.array(list(_binomial_row(k)), dtype=np.int64 if k * n < 63 else object)
     for classes in grid_blocks(n, k + 1, rows):
         yield 2 * classes - k, weights[classes].prod(axis=1)
 

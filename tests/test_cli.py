@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polysample import RandomSource
 from polysample.cli import main
 
 
@@ -110,6 +111,19 @@ def test_size_guard_exit_code(capsys):
     code, out, err = run_cli(capsys, "sim", "es", "--family", "permanent", "--n", "6", "--ell", "4")
     assert code == 3
     assert "guard" in err
+
+
+def test_fold_random_bits_are_guarded_before_the_draw(capsys, monkeypatch):
+    # --random-bits n asks for a 2^n-entry truth table; past the fold-table guard the
+    # command exits 3 before drawing it.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("truth table drawn before the size guard")
+
+    monkeypatch.setattr(RandomSource, "integers", no_draw)
+    for command in ("dist", "sim"):
+        for bits in ("21", "64"):
+            code, out, err = run_cli(capsys, command, "fold", "--random-bits", bits)
+            assert code == 3 and "size guard" in err
 
 
 def test_config_error_exit_code(capsys):
