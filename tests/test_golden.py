@@ -78,6 +78,15 @@ CASES = {
     "dist_squashed_perm2_k2_csv": ["dist", "squashed", "--family", "permanent", "--n", "2", "--k", "2",
                                    "--format", "csv"],
     "squash_matrix_k2": ["squash", "matrix", "--k", "2"],
+    # gamma = 0 keeps every estimate exact: an int64 table (ell = 2), a double
+    # table (ell = 3) and an object-width table (denominator 3 * 2^66).
+    "reduce_additive_ell2_gamma0": ["reduce", "additive", "--family", "permanent", "--n", "2", "--ell", "2",
+                                    *_REDUCTION, "--gamma", "0", "--seed", "18"],
+    "reduce_additive_ell3_gamma0": ["reduce", "additive", "--family", "permanent", "--n", "2", "--ell", "3",
+                                    *_REDUCTION, "--gamma", "0", "--seed", "19"],
+    "reduce_squashed_perm3_k1_tiny_beta_gamma0": ["reduce", "squashed", "--family", "permanent", "--n", "3",
+                                                  "--k", "1", *_REDUCTION, "--beta", "0.0001",
+                                                  "--gamma", "0", "--seed", "20"],
     # Exact binomial draws at a k far above the other cases' k <= 3.
     "dist_variance_perm2_k3000": ["dist", "variance", "--family", "permanent", "--n", "2", "--k", "3000",
                                   "--samples", "20", "--seed", "3"],
