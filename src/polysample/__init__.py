@@ -59,7 +59,7 @@ from .reductions import (
     guarantee_schedule,
 )
 from .rng import RandomSource
-from .samplers import SamplerHandle, empirical_sampler, exact_sampler, make_perturbed_sampler
+from .samplers import SamplerHandle, make_perturbed_sampler
 from .squashed import SquashedTransform, build_squashed_transform, unitarity_residual
 from .statevector import (
     StateVector,
@@ -78,7 +78,6 @@ from .tables import (
     ProbabilityTable,
     VarianceReport,
     binomial_sampling_method,
-    binomial_value_pmf,
     exact_table_fold,
     exact_table_roots,
     exact_table_squashed,
@@ -89,7 +88,6 @@ from .tables import (
     sample_binomial_value,
     sample_from_table,
     squashed_points,
-    squashed_value,
     tv_distance,
     variance,
 )

@@ -1,4 +1,4 @@
-"""Seeded, splittable randomness for reproducible experiments."""
+"""Seeded randomness for reproducible experiments."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ class RandomSource:
     """Deterministic random stream keyed by (seed, stream_id).
 
     Two sources built with the same key produce identical draw sequences;
-    ``split`` derives an independent stream under the same seed so that
-    per-trial or per-worker randomness stays reproducible no matter how
-    work is scheduled.
+    sources that differ in either part give independent streams.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -21,9 +19,6 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
-
-    def split(self, stream_id: int) -> "RandomSource":
-        return RandomSource(self.seed, stream_id)
 
     def random(self) -> float:
         return float(self._gen.random())

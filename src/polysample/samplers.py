@@ -1,4 +1,9 @@
-"""Sampler adversaries: exact, TV-perturbed, and draw-only empirical."""
+"""TV-perturbed sampler adversaries, queried for their own outcome probabilities.
+
+The reductions model a classical sampler through approximate counting: each
+query returns the sampler's probability of one outcome within a factor
+[1-gamma, 1+gamma] (``counting.noisy_scale``).
+"""
 
 from __future__ import annotations
 
@@ -10,55 +15,30 @@ import numpy as np
 
 from .counting import noisy_scale
 from .rng import RandomSource
-from .tables import RATIONAL, ProbabilityTable, exact_weights, sample_from_table
-
-EXACT = "exact"
-PERTURBED = "perturbed"
-EMPIRICAL = "empirical"
+from .tables import DOUBLE, RATIONAL, ProbabilityTable, exact_weights, sample_from_table
 
 
 @dataclass
 class SamplerHandle:
-    """A classical sampler judged against a target table.
+    """A classical sampler: the table it draws from, at TV ``realized_tv`` from its target."""
 
-    ``table`` is the distribution actually drawn from; for the perturbed
-    kind it sits at total variation ``realized_tv`` from ``target``.
-    ``probability_query`` models oracle access to the sampler's own outcome
-    probabilities; without it, probabilities must be estimated from
-    ``sample_budget`` fresh draws.
-    """
-
-    kind: str
-    target: ProbabilityTable
     table: ProbabilityTable
     realized_tv: float
-    probability_query: bool = True
-    sample_budget: int | None = None
 
     def draw(self, rng: RandomSource) -> int:
         return sample_from_table(self.table, rng)
 
     def probability(self, flat_index: int):
-        if not self.probability_query:
-            raise ValueError(f"{self.kind} sampler does not expose probability queries")
         return self.table[flat_index]
 
     def estimate_probability(self, flat_index: int, gamma: float, rng: RandomSource):
-        """Outcome-probability estimate: noisy query if available, else frequency."""
-        if self.probability_query:
-            return noisy_scale(self.table[flat_index], gamma, rng)
-        hits = sum(1 for _ in range(self.sample_budget) if self.draw(rng) == flat_index)
-        return Fraction(hits, self.sample_budget)
-
-
-def exact_sampler(target: ProbabilityTable) -> SamplerHandle:
-    return SamplerHandle(EXACT, target, target, 0.0)
-
-
-def empirical_sampler(target: ProbabilityTable, sample_budget: int) -> SamplerHandle:
-    if sample_budget < 1:
-        raise ValueError("sample budget must be >= 1")
-    return SamplerHandle(EMPIRICAL, target, target, 0.0, probability_query=False, sample_budget=sample_budget)
+        """The outcome probability within a factor [1-gamma, 1+gamma]; the exact entry at gamma = 0."""
+        if gamma == 0:
+            return self.table[flat_index]
+        w = self.table.weights[flat_index]
+        # Python's int / int is correctly rounded, so this is float(table[flat_index]) without the Fraction.
+        value = float(w) if self.table.arithmetic == DOUBLE else int(w) / self.table.denominator
+        return noisy_scale(value, gamma, rng)
 
 
 def make_perturbed_sampler(
@@ -99,4 +79,4 @@ def make_perturbed_sampler(
     weights[receiver] += moved
 
     table = ProbabilityTable(target.radix, target.length, weights, denominator)
-    return SamplerHandle(PERTURBED, target, table, float(Fraction(moved) / denominator))
+    return SamplerHandle(table, float(Fraction(moved) / denominator))

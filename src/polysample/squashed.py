@@ -36,16 +36,6 @@ class SquashedTransform:
     r0: float
     r1: float
 
-    @property
-    def row_weights(self) -> np.ndarray:
-        """Diagonal of the left factor: square roots of the class sizes."""
-        return np.sqrt(np.array(self.class_sizes, dtype=np.float64))
-
-    @property
-    def column_normalizers(self) -> np.ndarray:
-        """Diagonal of the right factor: r0, r1, ... for all k + 1 columns."""
-        return 1.0 / np.sqrt(np.array(self.column_norms_sq, dtype=np.float64))
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,

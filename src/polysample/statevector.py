@@ -84,9 +84,7 @@ def qft_matrix(radix: int, inverse: bool = False) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * grid / radix) / sqrt(radix)
 
 
-def apply_qft(state: StateVector, radix: int | None = None, inverse: bool = False) -> StateVector:
-    if radix is not None and radix != state.qudit_dim:
-        raise ValueError(f"transform radix {radix} != qudit dimension {state.qudit_dim}")
+def apply_qft(state: StateVector, inverse: bool = False) -> StateVector:
     gate = qft_matrix(state.qudit_dim, inverse=inverse)
     for qudit in range(state.num_qudits):
         state = apply_single_qudit_gate(state, gate, qudit)

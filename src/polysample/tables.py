@@ -103,9 +103,6 @@ class ProbabilityTable:
         w = self.weights[flat_index]
         return w if self.arithmetic == DOUBLE else Fraction(int(w), self.denominator)
 
-    def probability_of(self, outcome: Sequence[int]):
-        return self[mixed_radix_index(outcome, self.radix)]
-
     def as_floats(self) -> np.ndarray:
         if self.arithmetic == DOUBLE:
             return self.weights
@@ -230,11 +227,6 @@ def orbit_weight(y, k: int) -> int:
     return weight
 
 
-def squashed_value(class_index: int, k: int) -> int:
-    """Integer value represented by a class index (count of +1 entries)."""
-    return 2 * class_index - k
-
-
 def grid_blocks(n: int, radix: int, rows: int) -> Iterator[np.ndarray]:
     """Digit rows of every point of [0, radix)^n in flat-index order.
 
@@ -356,11 +348,6 @@ def variance(spec: PolynomialSpec, k: int, samples: int = 0, rng: RandomSource |
 
 # ---------------------------------------------------------------------------
 # sampling utilities
-
-
-def binomial_value_pmf(k: int) -> dict[int, Fraction]:
-    """Exact pmf of a sum of k independent uniform +-1 values."""
-    return {2 * c - k: Fraction(comb(k, c), 2**k) for c in range(k + 1)}
 
 
 def binomial_sampling_method(k: int) -> str:

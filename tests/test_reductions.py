@@ -9,7 +9,6 @@ from polysample import (
     RandomSource,
     ShapeMismatchError,
     additive_estimator,
-    exact_sampler,
     exact_table_roots,
     exact_table_squashed,
     hamiltonian_cycle,
@@ -32,7 +31,7 @@ def test_guarantee_schedule_values():
 def test_additive_estimator_exact_path_inverts_definition(rng_factory):
     # Exact sampler + gamma = 0: the estimate equals |Q|^2 for every draw.
     spec = permanent(2)
-    sampler = exact_sampler(exact_table_roots(spec, 2))
+    sampler = make_perturbed_sampler(exact_table_roots(spec, 2), 0)
     rng = rng_factory(71)
     for _ in range(200):
         outcome, estimate = additive_estimator(sampler, spec, 2, 0.0, rng)
@@ -43,7 +42,7 @@ def test_additive_estimator_exact_path_inverts_definition(rng_factory):
 
 def test_squashed_estimator_exact_path(rng_factory):
     spec = permanent(2)
-    sampler = exact_sampler(exact_table_squashed(spec, 2))
+    sampler = make_perturbed_sampler(exact_table_squashed(spec, 2), 0)
     rng = rng_factory(72)
     for _ in range(200):
         values, estimate = squashed_additive_estimator(sampler, spec, 2, 0.0, rng)
@@ -97,7 +96,7 @@ def test_concentrated_perturbation_shifts_exactly_two_estimates():
 
 def test_estimator_shape_validation(rng_factory):
     spec = permanent(2)
-    sampler = exact_sampler(exact_table_roots(spec, 2))
+    sampler = make_perturbed_sampler(exact_table_roots(spec, 2), 0)
     with pytest.raises(ShapeMismatchError):
         additive_estimator(sampler, spec, 3, 0.0, rng_factory())
     with pytest.raises(ShapeMismatchError):
@@ -106,7 +105,7 @@ def test_estimator_shape_validation(rng_factory):
 
 def test_squashed_draws_follow_blockwise_binomial(rng_factory):
     spec, k = permanent(2), 2
-    sampler = exact_sampler(exact_table_squashed(spec, k))
+    sampler = make_perturbed_sampler(exact_table_squashed(spec, k), 0)
     rng = rng_factory(78)
     trials = 3000
     counts = {-2: 0, 0: 0, 2: 0}
@@ -130,19 +129,6 @@ def test_reduction_report_is_reproducible():
 def test_hc_reduction_also_works():
     report = run_roots_reduction(hamiltonian_cycle(3), 2, 0.5, 0.25, 300, 80)
     assert report.empirical_failure_rate <= 0.25
-
-
-def test_estimator_over_draw_only_sampler(rng_factory):
-    # Without probability queries the estimate comes from draw frequencies.
-    from polysample import empirical_sampler
-
-    spec = permanent(2)
-    sampler = empirical_sampler(exact_table_roots(spec, 2), sample_budget=4000)
-    rng = rng_factory(85)
-    outcome, estimate = additive_estimator(sampler, spec, 2, 0.0, rng)
-    z = [1 - 2 * e for e in outcome]
-    q = z[0] * z[3] + z[1] * z[2]
-    assert abs(float(estimate) - q * q) <= 1.0  # frequency noise at budget 4000
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ def test_different_streams_differ():
     assert [a.random() for _ in range(8)] != [b.random() for _ in range(8)]
 
 
-def test_split_matches_direct_construction():
-    assert RandomSource(9).split(4).random() == RandomSource(9, 4).random()
-
-
 def test_randbits_range():
     rng = RandomSource(11)
     for bits in (1, 8, 63, 64, 90):

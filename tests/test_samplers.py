@@ -7,9 +7,6 @@ import pytest
 
 from polysample import (
     ProbabilityTable,
-    RandomSource,
-    empirical_sampler,
-    exact_sampler,
     exact_table_roots,
     make_perturbed_sampler,
     permanent,
@@ -76,15 +73,9 @@ def test_draws_follow_perturbed_table(rng_factory):
 
 def test_probability_queries():
     target = exact_table_roots(permanent(2), 2)
-    handle = exact_sampler(target)
+    handle = make_perturbed_sampler(target, 0)
     assert handle.probability(0) == target[0]
     assert handle.estimate_probability(0, 0.0, None) == target[0]
-
-    blind = empirical_sampler(target, sample_budget=2000)
-    with pytest.raises(ValueError):
-        blind.probability(0)
-    estimate = blind.estimate_probability(0, 0.0, RandomSource(62))
-    assert abs(float(estimate) - float(target[0])) < 0.05
 
 
 def test_invalid_arguments():
@@ -93,5 +84,3 @@ def test_invalid_arguments():
         make_perturbed_sampler(target, -0.1)
     with pytest.raises(ValueError):
         make_perturbed_sampler(target, 0.1, concentrate_on=9)
-    with pytest.raises(ValueError):
-        empirical_sampler(target, 0)

@@ -101,10 +101,12 @@ def test_column_convolution_helper():
 
 def test_diagonal_factor_properties():
     transform = build_squashed_transform(2)
-    assert np.allclose(transform.row_weights, [1, np.sqrt(2), 1])
-    assert transform.column_normalizers[0] == pytest.approx(transform.r0)
-    assert transform.column_normalizers[1] == pytest.approx(transform.r1)
-    rebuilt = transform.row_weights[:, None] * np.array(transform.core) * transform.column_normalizers
+    row_weights = np.sqrt(np.array(transform.class_sizes, dtype=np.float64))
+    column_normalizers = 1.0 / np.sqrt(np.array(transform.column_norms_sq, dtype=np.float64))
+    assert np.allclose(row_weights, [1, np.sqrt(2), 1])
+    assert column_normalizers[0] == pytest.approx(transform.r0)
+    assert column_normalizers[1] == pytest.approx(transform.r1)
+    rebuilt = row_weights[:, None] * np.array(transform.core) * column_normalizers
     assert np.allclose(rebuilt, transform.unitary)
 
 

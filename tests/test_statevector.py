@@ -87,12 +87,6 @@ def test_qft_matches_dense_kronecker_oracle():
     assert np.allclose(apply_qft(state).amps, expected, atol=1e-12)
 
 
-def test_qft_radix_mismatch():
-    state = _random_state(3, 2, 45)
-    with pytest.raises(ValueError):
-        apply_qft(state, radix=2)
-
-
 def test_single_qudit_gate_targets_correct_axis():
     # X on qudit 1 of |00> gives |01> under the most-significant-first layout
     state = StateVector(2, 2, np.array([1, 0, 0, 0], dtype=complex))

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysample import NumericalCheckError, ProbabilityTable, make_perturbed_sampler, tv_distance
+from polysample import (
+    NumericalCheckError,
+    ProbabilityTable,
+    RandomSource,
+    SamplerHandle,
+    make_perturbed_sampler,
+    noisy_scale,
+    tv_distance,
+)
 from polysample.tables import exact_weights
 
 # Denominators on both sides of the float (2^53) and int64 (2^63) edges.
@@ -81,6 +89,17 @@ def test_perturbed_sampler_realizes_min_of_beta_and_achievable(target, beta):
     realized = sum(abs(p - q) for p, q in zip(list(handle.table), list(target))) / 2
     assert realized == expected
     assert handle.realized_tv == float(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_tables(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**32))
+def test_noisy_query_scales_the_correctly_rounded_float_of_each_fraction(table, gamma, seed):
+    sampler = SamplerHandle(table, 0.0)
+    for i, p in enumerate(_fractions(table)):
+        # Twin sources: both sides draw the same scale factor.
+        got = sampler.estimate_probability(i, gamma, RandomSource(seed, i))
+        want = noisy_scale(float(p), gamma, RandomSource(seed, i))
+        assert got.hex() == want.hex()
 
 
 def test_width_edge_at_two_to_the_63():

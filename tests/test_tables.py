@@ -17,7 +17,6 @@ from polysample import (
     RandomSource,
     ShapeMismatchError,
     SizeGuardError,
-    binomial_value_pmf,
     collapse_assignment,
     exact_table_fold,
     exact_table_roots,
@@ -30,7 +29,6 @@ from polysample import (
     permanent,
     sample_binomial_value,
     sample_from_table,
-    squashed_value,
     tv_distance,
     variance,
 )
@@ -139,10 +137,6 @@ def test_orbit_weight_rejects_bad_points():
         orbit_weight((4,), 2)
 
 
-def test_squashed_value_map():
-    assert [squashed_value(c, 2) for c in range(3)] == [-2, 0, 2]
-
-
 def test_squashed_table_perm2_k2_against_direct_computation():
     spec = permanent(2)
     table = exact_table_squashed(spec, 2)
@@ -212,7 +206,7 @@ def test_fold_constant_function_is_point_mass_at_zero():
 def test_fold_character_is_point_mass_at_its_index():
     # f(x) = (-1)^{x_1} on two bits: spectrum concentrates at y = 10
     table = exact_table_fold([1, 1, -1, -1])
-    assert table.probability_of((1, 0)) == 1
+    assert table[2] == 1
 
 
 def test_fold_matches_slow_dft(rng_factory):
@@ -300,11 +294,6 @@ def test_variance_empirical_close_to_closed_form(rng_factory):
 # binomial sampling
 
 
-def test_binomial_pmf_exact():
-    assert binomial_value_pmf(2) == {-2: Fraction(1, 4), 0: Fraction(1, 2), 2: Fraction(1, 4)}
-    assert sum(binomial_value_pmf(7).values()) == 1
-
-
 def test_binomial_k1_is_uniform_signs(rng_factory):
     rng = rng_factory(31)
     draws = [sample_binomial_value(1, rng) for _ in range(2000)]
@@ -316,10 +305,11 @@ def test_binomial_k2_frequencies(rng_factory):
     rng = rng_factory(32)
     n = 20000
     draws = [sample_binomial_value(2, rng) for _ in range(n)]
-    for value, p in binomial_value_pmf(2).items():
-        observed = sum(1 for d in draws if d == value) / n
-        sigma = (float(p) * (1 - float(p)) / n) ** 0.5
-        assert abs(observed - float(p)) < 5 * sigma
+    for c in range(3):
+        p = comb(2, c) / 2**2
+        observed = sum(1 for d in draws if d == 2 * c - 2) / n
+        sigma = (p * (1 - p) / n) ** 0.5
+        assert abs(observed - p) < 5 * sigma
 
 
 def test_binomial_mean_within_four_sigma(rng_factory):
