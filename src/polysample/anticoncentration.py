@@ -21,7 +21,7 @@ from .errors import check_size
 from .evaluate import block_points, block_sizes, squared_values
 from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
-from .tables import FLOAT_EXACT, grid_blocks, sample_binomial_value, squashed_points
+from .tables import FLOAT_EXACT, binomial_sampling_method, grid_blocks, sample_binomial_value, squashed_points
 
 EXHAUSTIVE_GUARD = 1 << 22
 DEFAULT_THRESHOLDS = (0.5, 0.25, 0.125, 0.0625)
@@ -61,7 +61,12 @@ class TailReport:
     rows: list[TailRow]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        doc = asdict(self)
+        if self.mode == "integer" and not self.exhaustive:
+            # Integer Monte Carlo points are binomial draws; name how they were drawn.
+            doc["binomial_sampling_method"] = binomial_sampling_method(self.mode_param)
+            doc["rows"] = doc.pop("rows")
+        return doc
 
 
 def anticoncentration_experiment(

@@ -19,6 +19,7 @@ from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
 from .samplers import SamplerHandle, make_perturbed_sampler
 from .tables import (
+    binomial_sampling_method,
     exact_table_roots,
     exact_table_squashed,
     mixed_radix_index,
@@ -84,6 +85,8 @@ class ReductionReport:
             "failure_count": self.failure_count,
             "empirical_failure_rate": self.empirical_failure_rate,
         }
+        if self.kind == SQUASHED:
+            doc["binomial_sampling_method"] = binomial_sampling_method(self.mode_param)
         if include_records:
             doc["records"] = [
                 [list(r.outcome), r.estimate, r.truth, r.error] for r in self.records

@@ -191,6 +191,15 @@ def test_dist_variance_cli(capsys):
     assert doc["results"]["binomial_sampling_method"] == "exact-inverse-cdf"
 
 
+def test_anticon_names_the_binomial_approximation(capsys):
+    # k = 20000 is above tables.EXACT_BINOMIAL_GUARD, so the draws are rounded normals.
+    code, doc, _ = run_json(
+        capsys, "anticon", "--family", "permanent", "--n", "1", "--k", "20000", "--samples", "10",
+    )
+    assert code == 0
+    assert doc["results"]["binomial_sampling_method"] == "rounded-normal"
+
+
 def test_csv_projection(capsys, tmp_path):
     out = tmp_path / "table.csv"
     code, _, _ = run_cli(
