@@ -63,9 +63,8 @@ class TailReport:
     def to_json_dict(self) -> dict:
         doc = asdict(self)
         if self.mode == "integer" and not self.exhaustive:
-            # Integer Monte Carlo points are binomial draws; name how they were drawn.
             doc["binomial_sampling_method"] = binomial_sampling_method(self.mode_param)
-            doc["rows"] = doc.pop("rows")
+            doc["rows"] = doc.pop("rows")  # rows stay last
         return doc
 
 

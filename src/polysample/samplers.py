@@ -1,9 +1,5 @@
-"""TV-perturbed sampler adversaries, queried for their own outcome probabilities.
-
-The reductions model a classical sampler through approximate counting: each
-query returns the sampler's probability of one outcome within a factor
-[1-gamma, 1+gamma] (``counting.noisy_scale``).
-"""
+"""TV-perturbed sampler adversaries, queried for their own outcome probabilities
+through the approximate-counting error model (``counting.noisy_scale``)."""
 
 from __future__ import annotations
 
