@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -260,35 +259,65 @@ def _echo_params(args) -> dict:
 
 
 def _write_output(args, doc, projection) -> None:
-    if args.format == "csv":
-        text = projection()
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
+    def write(handle):
+        if args.format == "csv":
+            projection(handle)
+        else:
+            _write_document(handle, doc)
+
     if args.output:
         with open(args.output, "w") as handle:
-            handle.write(text)
+            write(handle)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _table_projection(table: ProbabilityTable):
-    def render():
-        buf = io.StringIO()
-        table.write_csv(buf)
-        return buf.getvalue()
+# Rendered in place of each table's probs; argv strings cannot hold a NUL, so
+# nothing else in a document renders to it.
+_PROBS = "\0probs"
 
-    return render
+
+def _write_document(handle, doc) -> None:
+    """Write ``json.dumps(doc, indent=2) + "\\n"``, streaming the probs of each ProbabilityTable in it.
+
+    Neither the full entry list nor the full text of a table is ever built:
+    entries are rendered one ``entry_chunks`` list at a time.
+    """
+    tables = []
+
+    def table_head(table):
+        tables.append(table)
+        return {"radix": table.radix, "length": table.length, "arithmetic": table.arithmetic,
+                "probs": _PROBS}
+
+    parts = json.dumps(doc, indent=2, default=table_head).split(json.dumps(_PROBS))
+    for head, table in zip(parts, tables):
+        line = head[head.rfind("\n") + 1:]
+        outer = " " * (len(line) - len(line.lstrip(" ")))
+        separator = ",\n  " + outer
+        render = '"{}"'.format if table.arithmetic == RATIONAL else float.__repr__
+        handle.write(head)
+        lead = "[\n  " + outer
+        for chunk in table.entry_chunks():
+            handle.write(lead + separator.join(map(render, chunk)))
+            lead = separator
+        handle.write("\n" + outer + "]")
+    handle.write(parts[-1] + "\n")
 
 
 def _rows_projection(header, rows):
-    def render():
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+    def write(handle):
+        writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
-        return buf.getvalue()
 
-    return render
+    return write
+
+
+def _dump_state(path, state) -> None:
+    # One json.dumps call runs the C encoder; json.dump always runs the Python one.
+    with open(path, "w") as handle:
+        handle.write(json.dumps(state.to_json_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +386,7 @@ def cmd_poly_unrank(args):
 def cmd_dist_roots(args):
     spec = _build_spec(args)
     table = exact_table_roots(spec, args.ell)
-    results = {"table": table.to_json_dict()}
+    results = {"table": table}
     measured = table.validate_normalization()
     if table.arithmetic == RATIONAL:
         check = _check("normalization", measured == table.denominator,
@@ -365,26 +394,26 @@ def cmd_dist_roots(args):
     else:
         check = _check("normalization", measured <= DOUBLE_NORMALIZATION_TOL,
                        f"|sum p - 1| = {measured:.3e} (tolerance {DOUBLE_NORMALIZATION_TOL})")
-    return results, [check], _table_projection(table)
+    return results, [check], table.write_csv
 
 
 def cmd_dist_squashed(args):
     spec = _build_spec(args)
     table = exact_table_squashed(spec, args.k)
-    results = {"table": table.to_json_dict(), "class_value_map": "value = 2*class - k"}
+    results = {"table": table, "class_value_map": "value = 2*class - k"}
     total = table.validate_normalization()
     checks = [_check("normalization_identity", total == table.denominator,
                      f"sum of Q^2 * orbit = {total}, 2^{{kn}} * Var = {table.denominator}")]
-    return results, checks, _table_projection(table)
+    return results, checks, table.write_csv
 
 
 def cmd_dist_fold(args):
     table = exact_table_fold(_truth_table(args))
-    results = {"table": table.to_json_dict()}
+    results = {"table": table}
     total = table.validate_normalization()
     checks = [_check("normalization", total == table.denominator,
                      f"sum of squared Walsh coefficients = {total}, 4^n = {table.denominator}")]
-    return results, checks, _table_projection(table)
+    return results, checks, table.write_csv
 
 
 def cmd_dist_variance(args):
@@ -411,17 +440,16 @@ def cmd_sim_es(args):
     spec = _build_spec(args)
     state = apply_qft(prepare_monomial_superposition(spec, args.ell))
     if args.dump_state:
-        with open(args.dump_state, "w") as handle:
-            json.dump(state.to_json_dict(), handle)
+        _dump_state(args.dump_state, state)
     simulated = measurement_distribution(state)
     analytic = exact_table_roots(spec, args.ell)
     tv = tv_distance(simulated, analytic)
-    results = {"table": simulated.to_json_dict(), "tv_vs_analytic": tv, "norm": state.norm()}
+    results = {"table": simulated, "tv_vs_analytic": tv, "norm": state.norm()}
     checks = [
         _check("tv_vs_analytic", tv <= TV_TOL_SIM, f"TV {tv:.3e} (tolerance {TV_TOL_SIM})"),
         _check("norm", abs(state.norm() - 1) <= 1e-9, f"norm {state.norm()!r}"),
     ]
-    return results, checks, _table_projection(simulated)
+    return results, checks, simulated.write_csv
 
 
 def cmd_sim_squashed(args):
@@ -429,20 +457,19 @@ def cmd_sim_squashed(args):
     transform = build_squashed_transform(args.k)
     state = squashed_circuit_state(spec, args.k, transform)
     if args.dump_state:
-        with open(args.dump_state, "w") as handle:
-            json.dump(state.to_json_dict(), handle)
+        _dump_state(args.dump_state, state)
     simulated = squashed_measurement_distribution(state)
     analytic = exact_table_squashed(spec, args.k)
     tv = tv_distance(simulated, analytic)
     amp_dev = _amplitude_formula_deviation(spec, args.k, transform, simulated)
-    results = {"table": simulated.to_json_dict(), "tv_vs_analytic": tv,
+    results = {"table": simulated, "tv_vs_analytic": tv,
                "amplitude_formula_max_deviation": amp_dev}
     checks = [
         _check("tv_vs_analytic", tv <= TV_TOL_SIM, f"TV {tv:.3e} (tolerance {TV_TOL_SIM})"),
         _check("amplitude_formula", amp_dev <= TV_TOL_SIM,
                f"max |alpha^2 - p| = {amp_dev:.3e}"),
     ]
-    return results, checks, _table_projection(simulated)
+    return results, checks, simulated.write_csv
 
 
 def _amplitude_formula_deviation(spec, k, transform, simulated) -> float:
@@ -465,9 +492,9 @@ def cmd_sim_fold(args):
     simulated = run_fold_sampler_circuit(truth)
     analytic = exact_table_fold(truth)
     tv = tv_distance(simulated, analytic)
-    results = {"table": simulated.to_json_dict(), "tv_vs_analytic": tv}
+    results = {"table": simulated, "tv_vs_analytic": tv}
     checks = [_check("tv_vs_analytic", tv <= TV_TOL_FOLD, f"TV {tv:.3e} (tolerance {TV_TOL_FOLD})")]
-    return results, checks, _table_projection(simulated)
+    return results, checks, simulated.write_csv
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 # Entries of the largest root or squashed table, or qudit statevector, built.
 SIZE_GUARD = 1 << 26
+# Bytes of the largest exact table built: SIZE_GUARD entries of int64.
+BYTES_GUARD = SIZE_GUARD * 8
 # The fold table and the fold circuit stop at 20 bits and 13 qubits.
 FOLD_TABLE_GUARD = 1 << 20
 FOLD_CIRCUIT_GUARD = 1 << 13
@@ -23,6 +25,12 @@ def check_size(what: str, entries: int, limit: int = SIZE_GUARD) -> None:
     """Raise SizeGuardError before a dense object of more than ``limit`` entries is built."""
     if entries > limit:
         raise SizeGuardError(f"{what} of {entries} entries exceeds the size guard {limit}")
+
+
+def check_bytes(what: str, nbytes: int, limit: int = BYTES_GUARD) -> None:
+    """Raise SizeGuardError before an object estimated at more than ``limit`` bytes is built."""
+    if nbytes > limit:
+        raise SizeGuardError(f"{what} of about {nbytes} bytes exceed the size guard {limit} bytes")
 
 
 class InvalidMonomialError(PolySampleError, ValueError):

@@ -43,7 +43,7 @@ class StateVector:
         return {
             "qudit_dim": self.qudit_dim,
             "num_qudits": self.num_qudits,
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
+            "amps": np.stack((self.amps.real, self.amps.imag), axis=1).tolist(),
         }
 
 

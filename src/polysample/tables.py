@@ -21,7 +21,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FOLD_TABLE_GUARD, NumericalCheckError, ParityError, ShapeMismatchError, check_size
+from .errors import (
+    FOLD_TABLE_GUARD,
+    NumericalCheckError,
+    ParityError,
+    ShapeMismatchError,
+    check_bytes,
+    check_size,
+)
 from .evaluate import (
     ENUMERATION_GUARD,
     INT64_LIMIT,
@@ -42,6 +49,9 @@ DOUBLE_NORMALIZATION_TOL = 1e-9
 EXACT_BINOMIAL_GUARD = 1 << 14
 # Integers below 2^53 convert to float64 exactly.
 FLOAT_EXACT = 1 << 53
+# Entries rendered at a time when a table is written out, which bounds the
+# Python numbers and strings alive at once whatever the table's size.
+WRITE_CHUNK = 1 << 14
 
 
 def mixed_radix_index(digits: Sequence[int], radix: int) -> int:
@@ -61,6 +71,17 @@ def mixed_radix_digits(index: int, radix: int, length: int) -> tuple[int, ...]:
 def exact_weights(numerators, denominator: int) -> np.ndarray:
     """int64 numerators when the denominator, which bounds every valid entry, is below 2^63; else Python ints."""
     return np.asarray(numerators, dtype=np.int64 if denominator < INT64_LIMIT else object)
+
+
+def exact_weight_bytes(entries: int, denominator: int) -> int:
+    """Estimated bytes of ``exact_weights`` numerators over ``denominator``.
+
+    8 per int64 entry. At object width each numerator is a Python int of up
+    to bits(denominator) bits plus a 28-byte header.
+    """
+    if denominator < INT64_LIMIT:
+        return 8 * entries
+    return entries * (denominator.bit_length() // 8 + 28)
 
 
 @dataclass(eq=False)
@@ -119,6 +140,9 @@ class ProbabilityTable:
         """Raise unless the table sums to 1; return the numerator sum (exact) or |sum - 1| (double)."""
         w = self.weights
         if self.arithmetic == DOUBLE:
+            # A nan passes both comparisons below; JSON has no literal for it either.
+            if not np.isfinite(w).all():
+                raise NumericalCheckError("non-finite probability in double table")
             if float(w.min(initial=0.0)) < -1e-15:
                 raise NumericalCheckError("negative probability in double table")
             drift = abs(float(w.sum()) - 1.0)
@@ -136,20 +160,22 @@ class ProbabilityTable:
 
     # -- serialization ------------------------------------------------------
 
-    def _entries(self) -> list:
-        """JSON/CSV entries: reduced "p/q" strings (exact) or floats (double)."""
-        if self.arithmetic == DOUBLE:
-            return self.weights.tolist()
-        common = np.gcd(self.weights, self.denominator)
-        pairs = zip((self.weights // common).tolist(), (self.denominator // common).tolist())
-        return [f"{p}/{q}" for p, q in pairs]
+    def entry_chunks(self) -> Iterator[list]:
+        """JSON/CSV entries in flat order, ``WRITE_CHUNK`` per list: reduced "p/q" strings (exact) or floats (double)."""
+        for start in range(0, self.size, WRITE_CHUNK):
+            w = self.weights[start:start + WRITE_CHUNK]
+            if self.arithmetic == DOUBLE:
+                yield w.tolist()
+            else:
+                common = np.gcd(w, self.denominator)
+                yield list(map("{}/{}".format, (w // common).tolist(), (self.denominator // common).tolist()))
 
     def to_json_dict(self) -> dict:
         return {
             "radix": self.radix,
             "length": self.length,
             "arithmetic": self.arithmetic,
-            "probs": self._entries(),
+            "probs": [entry for chunk in self.entry_chunks() for entry in chunk],
         }
 
     @staticmethod
@@ -169,9 +195,11 @@ class ProbabilityTable:
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream)
         writer.writerow(["index", "outcome", "probability"])
-        for i, entry in enumerate(self._entries()):
-            outcome = mixed_radix_digits(i, self.radix, self.length)
-            writer.writerow([i, ",".join(str(d) for d in outcome), entry])
+        start = 0
+        for digits, entries in zip(grid_blocks(self.length, self.radix, WRITE_CHUNK), self.entry_chunks()):
+            outcomes = map(",".join, digits.astype(str).tolist())
+            writer.writerows(zip(range(start, start + len(entries)), outcomes, entries))
+            start += len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +291,16 @@ def exact_table_squashed(spec: PolynomialSpec, k: int) -> ProbabilityTable:
     if k < 1:
         raise ValueError("k must be >= 1")
     n, m, d = spec.n_vars, spec.num_monomials, spec.degree
-    check_size("table", (k + 1) ** n)
+    size = (k + 1) ** n
+    check_size("table", size)
+    denominator = 2 ** (k * n) * k**d * m
+    check_bytes("table numerators", exact_weight_bytes(size, denominator))
     numerators = []
     for values, orbits in squashed_points(n, k, block_points(spec)):
         for vals, orbit in zip(values.tolist(), orbits.tolist()):
             q = evaluate_values_fast(spec, vals)
             numerators.append(q * q * orbit)
     # The constructor checks the identity sum(Q^2 * orbit) = 2^{kn} * Var.
-    denominator = 2 ** (k * n) * k**d * m
     return ProbabilityTable(k + 1, n, exact_weights(numerators, denominator), denominator)
 
 

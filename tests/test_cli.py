@@ -107,10 +107,30 @@ def test_tv_max_violation_exits_one(capsys, tmp_path):
     assert "failed checks" in err
 
 
+def test_tv_rejects_a_non_finite_table(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"radix": 2, "length": 1, "arithmetic": "double", "probs": [float("nan"), 1.0]}))
+    code, out, err = run_cli(capsys, "tv", "--table-a", str(a), "--table-b", str(a))
+    assert code == 1
+    assert out == "" and "non-finite" in err
+
+
 def test_size_guard_exit_code(capsys):
     code, out, err = run_cli(capsys, "sim", "es", "--family", "permanent", "--n", "6", "--ell", "4")
     assert code == 3
     assert "guard" in err
+
+
+def test_object_width_squashed_table_exits_three_before_it_is_built(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("table built before the byte guard")
+
+    monkeypatch.setattr("polysample.tables.squashed_points", no_build)
+    spec = ["--family", "permanent", "--n", "1", "--k", "80000"]
+    for argv in (["dist", "squashed", *spec],
+                 ["reduce", "squashed", *spec, "--epsilon", "0.5", "--delta", "0.25", "--trials", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and "bytes exceed the size guard" in err and out == ""
 
 
 def test_fold_random_bits_are_guarded_before_the_draw(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 """Golden CLI documents: every output byte except the timestamp is pinned.
 
 Each case runs one small CLI invocation in a scratch directory and compares
-its JSON document (timestamp removed, re-serialized the way the CLI writes
-it) byte for byte against ``tests/golden/cli/<case>.json``. A ``--format csv``
-case is compared as raw text against ``<case>.csv``. Cases that dump a
-statevector also pin the dumped file as ``<case>.state.json``.
+the text it writes byte for byte against ``tests/golden/cli/<case>.json``,
+with only the last key's ``"timestamp"`` line removed (and the comma it
+leaves after ``checks``). A ``--format csv`` case is compared as raw text
+against ``<case>.csv``. Cases that dump a statevector also pin the dumped
+file as ``<case>.state.json``.
 
 Regenerate after an intended output change with
 
@@ -16,13 +17,18 @@ so adding a case leaves the other golden files untouched.
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
+import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from polysample import ProbabilityTable, cli, mixed_radix_digits, tables
 from polysample.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
@@ -97,19 +103,23 @@ def golden_path(case) -> Path:
     return GOLDEN_DIR / f"{case}.{'csv' if 'csv' in CASES[case] else 'json'}"
 
 
+# The CLI writes "timestamp" last, so the line before it ends in a comma.
+TIMESTAMP_LINE = re.compile(r',\n  "timestamp": "[^"\n]*"\n}\n\Z')
+
+
 def render(argv) -> tuple[int, str, str | None]:
-    """Exit code, document text without its timestamp (csv: raw text), and dumped state text."""
+    """Exit code, written text without the timestamp line (csv: raw text), and dumped state text."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(list(argv))
     if "csv" in argv:
         return code, stdout.getvalue(), None
-    doc = json.loads(stdout.getvalue())
-    doc.pop("timestamp")
+    text, found = TIMESTAMP_LINE.subn("\n}\n", stdout.getvalue())
+    assert found == 1, "document does not end in its timestamp line"
     state = None
     if STATE_FILE in argv:
         state = Path(STATE_FILE).read_text()
-    return code, json.dumps(doc, indent=2) + "\n", state
+    return code, text, state
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -122,6 +132,59 @@ def test_document_matches_golden(case, tmp_path, monkeypatch):
     assert text == golden_path(case).read_bytes().decode()
     if state is not None:
         assert state == (GOLDEN_DIR / f"{case}.state.json").read_text()
+
+
+# The streamed writer against the one-shot renderings it replaces, with the
+# chunk shrunk so that small tables cross chunk boundaries.
+CHUNK = 4
+SHAPES = {1: (3, 0), CHUNK - 1: (3, 1), CHUNK: (2, 2), CHUNK + 1: (5, 1), 2 * CHUNK + 1: (3, 2)}
+
+
+def _table(arithmetic, size):
+    radix, length = SHAPES[size]
+    raw = [0] + [3 * i + 2 for i in range(1, size)] if size > 1 else [1]
+    if arithmetic == "double":
+        probs = np.array(raw, dtype=np.float64) / sum(raw)
+        if size > 2:  # move the mass of entry 1 but 1e-20, which renders with an exponent
+            probs[-1] += probs[1] - 1e-20
+            probs[1] = 1e-20
+        return ProbabilityTable(radix, length, probs)
+    # object width: every numerator and the denominator lie past 2^64
+    scale = 1 if arithmetic == "int64" else (1 << 64) + 1
+    numerators = [w * scale for w in raw]
+    return ProbabilityTable(radix, length, np.array(numerators, dtype=object), sum(numerators))
+
+
+def _reference_entries(table):
+    if table.arithmetic == "double":
+        return table.weights.tolist()
+    fractions = (Fraction(int(w), table.denominator) for w in table.weights)
+    return [f"{f.numerator}/{f.denominator}" for f in fractions]
+
+
+@pytest.mark.parametrize("size", sorted(SHAPES))
+@pytest.mark.parametrize("arithmetic", ["double", "int64", "object"])
+def test_streamed_writer_matches_one_shot_rendering(arithmetic, size, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tables, "WRITE_CHUNK", CHUNK)
+    table = _table(arithmetic, size)
+    assert (table.weights.dtype == object) is (arithmetic == "object")
+    entries = _reference_entries(table)
+    doc = {"command": "dist roots", "results": {"table": table, "note": "x"}, "checks": []}
+    table_doc = {"radix": table.radix, "length": table.length, "arithmetic": table.arithmetic,
+                 "probs": entries}
+    expected_json = json.dumps({**doc, "results": {"table": table_doc, "note": "x"}}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index", "outcome", "probability"])
+    for i, entry in enumerate(entries):
+        writer.writerow([i, ",".join(map(str, mixed_radix_digits(i, table.radix, table.length))), entry])
+    expected = {"json": expected_json, "csv": buf.getvalue()}
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"doc.{fmt}"
+        cli._write_output(argparse.Namespace(format=fmt, output=str(path)), doc, table.write_csv)
+        assert path.read_bytes().decode() == expected[fmt]
+        cli._write_output(argparse.Namespace(format=fmt, output=None), doc, table.write_csv)
+        assert capsys.readouterr().out == expected[fmt]
 
 
 def regenerate(out_dir: Path, names) -> None:

@@ -33,8 +33,15 @@ from polysample import (
     variance,
 )
 from polysample import tables
-from polysample.errors import FOLD_CIRCUIT_GUARD, FOLD_TABLE_GUARD, SIZE_GUARD, check_size
-from polysample.tables import EXACT_BINOMIAL_GUARD, binomial_sampling_method
+from polysample.errors import (
+    BYTES_GUARD,
+    FOLD_CIRCUIT_GUARD,
+    FOLD_TABLE_GUARD,
+    SIZE_GUARD,
+    check_bytes,
+    check_size,
+)
+from polysample.tables import EXACT_BINOMIAL_GUARD, binomial_sampling_method, exact_weight_bytes
 
 
 def test_mixed_radix_helpers():
@@ -108,6 +115,33 @@ def test_check_size_defaults_to_the_dense_guard():
     check_size("statevector", SIZE_GUARD)
     with pytest.raises(SizeGuardError, match="statevector of 67108865 entries"):
         check_size("statevector", SIZE_GUARD + 1)
+
+
+def _squashed_denominator(spec, k):
+    return 2 ** (k * spec.n_vars) * k**spec.degree * spec.num_monomials
+
+
+def test_object_width_numerators_are_guarded_by_bytes():
+    # permanent(1) at k = K holds K + 1 numerators of about K bits each.
+    spec = permanent(1)
+    for k, admitted in ((8000, True), (80000, False)):
+        estimate = exact_weight_bytes(k + 1, _squashed_denominator(spec, k))
+        assert estimate > 8 * (k + 1) * 100
+        assert (estimate <= BYTES_GUARD) is admitted
+    # int64 numerators cost 8 bytes each, so the entry guard alone decides for them.
+    assert exact_weight_bytes(SIZE_GUARD, tables.INT64_LIMIT - 1) == BYTES_GUARD
+    check_bytes("table numerators", BYTES_GUARD)
+    with pytest.raises(SizeGuardError, match="bytes exceed the size guard"):
+        check_bytes("table numerators", BYTES_GUARD + 1)
+
+
+def test_object_width_squashed_table_is_rejected_before_it_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("table built before the byte guard")
+
+    monkeypatch.setattr(tables, "squashed_points", no_build)
+    with pytest.raises(SizeGuardError, match="table numerators of about 802410030 bytes"):
+        exact_table_squashed(permanent(1), 80000)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +432,13 @@ def test_table_normalization_check_fires():
         ProbabilityTable(2, 1, np.array([3, 2]), 6)  # 1/2 + 1/3
     with pytest.raises(NumericalCheckError):
         ProbabilityTable(2, 1, np.array([0.6, 0.5]))
+
+
+def test_non_finite_double_table_is_rejected():
+    # nan > tol is False, so a sum check alone lets nan through.
+    for probs in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, 1.0]):
+        with pytest.raises(NumericalCheckError, match="non-finite"):
+            ProbabilityTable(2, 1, np.array(probs))
 
 
 def test_table_json_round_trip():
