@@ -161,14 +161,18 @@ class ProbabilityTable:
     # -- serialization ------------------------------------------------------
 
     def entry_chunks(self) -> Iterator[list]:
-        """JSON/CSV entries in flat order, ``WRITE_CHUNK`` per list: reduced "p/q" strings (exact) or floats (double)."""
+        """JSON/CSV entries in flat order, ``WRITE_CHUNK`` per list.
+
+        Exact tables give reduced "p/q" strings, double tables floats.
+        """
         for start in range(0, self.size, WRITE_CHUNK):
             w = self.weights[start:start + WRITE_CHUNK]
             if self.arithmetic == DOUBLE:
                 yield w.tolist()
             else:
                 common = np.gcd(w, self.denominator)
-                yield list(map("{}/{}".format, (w // common).tolist(), (self.denominator // common).tolist()))
+                p, q = (w // common).tolist(), (self.denominator // common).tolist()
+                yield list(map("{}/{}".format, p, q))
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,7 +5,9 @@ the text it writes byte for byte against ``tests/golden/cli/<case>.json``,
 with only the last key's ``"timestamp"`` line removed (and the comma it
 leaves after ``checks``). A ``--format csv`` case is compared as raw text
 against ``<case>.csv``. Cases that dump a statevector also pin the dumped
-file as ``<case>.state.json``.
+file as ``<case>.state.json``. The CLI streams table entries in chunks, and
+``test_streamed_writer_matches_one_shot_rendering`` checks that across chunk
+boundaries.
 
 Regenerate after an intended output change with
 

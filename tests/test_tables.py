@@ -135,15 +135,6 @@ def test_object_width_numerators_are_guarded_by_bytes():
         check_bytes("table numerators", BYTES_GUARD + 1)
 
 
-def test_object_width_squashed_table_is_rejected_before_it_is_built(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("table built before the byte guard")
-
-    monkeypatch.setattr(tables, "squashed_points", no_build)
-    with pytest.raises(SizeGuardError, match="table numerators of about 802410030 bytes"):
-        exact_table_squashed(permanent(1), 80000)
-
-
 # ---------------------------------------------------------------------------
 # orbit weights and squashed tables
 
