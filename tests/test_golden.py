@@ -98,6 +98,13 @@ CASES = {
     # Exact binomial draws at a k far above the other cases' k <= 3.
     "dist_variance_perm2_k3000": ["dist", "variance", "--family", "permanent", "--n", "2", "--k", "3000",
                                   "--samples", "20", "--seed", "3"],
+    # k = 40 > 32: each coordinate's exact binomial draw takes two uint32 words.
+    # The lift gives three coordinates per trial on a 41^3-entry table.
+    "reduce_squashed_perm1_lift3_k40": ["reduce", "squashed", "--family", "permanent", "--n", "1",
+                                        "--lift", "3", "--k", "40", *_REDUCTION, "--seed", "21"],
+    "reduce_squashed_perm2_k2_csv": ["reduce", "squashed", "--family", "permanent", "--n", "2", "--k", "2",
+                                     "--epsilon", "0.5", "--delta", "0.25", "--trials", "40",
+                                     "--seed", "22", "--format", "csv"],
 }
 
 
