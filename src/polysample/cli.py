@@ -399,7 +399,7 @@ def cmd_dist_roots(args):
 
 def cmd_dist_squashed(args):
     spec = _build_spec(args)
-    table = exact_table_squashed(spec, args.k)
+    table = exact_table_squashed(spec, args.k, as_text=True)
     results = {"table": table, "class_value_map": "value = 2*class - k"}
     total = table.validate_normalization()
     checks = [_check("normalization_identity", total == table.denominator,

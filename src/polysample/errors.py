@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the dense-size guard."""
 
+import sys
+
 # Entries of the largest root or squashed table, or qudit statevector, built.
 SIZE_GUARD = 1 << 26
 # Bytes of the largest exact table built: SIZE_GUARD entries of int64.
@@ -31,6 +33,17 @@ def check_bytes(what: str, nbytes: int, limit: int = BYTES_GUARD) -> None:
     """Raise SizeGuardError before an object estimated at more than ``limit`` bytes is built."""
     if nbytes > limit:
         raise SizeGuardError(f"{what} of about {nbytes} bytes exceed the size guard {limit} bytes")
+
+
+def check_digits(what: str, value: int) -> None:
+    """Raise SizeGuardError before an integer that ``str`` would refuse is written.
+
+    Python 3.11+ raises ValueError when converting an int of more decimal
+    digits than ``sys.get_int_max_str_digits()`` (0: no limit) to text.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and abs(value) >= 10**limit:
+        raise SizeGuardError(f"{what} has more than {limit} decimal digits, the int-to-str limit")
 
 
 class InvalidMonomialError(PolySampleError, ValueError):

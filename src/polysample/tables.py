@@ -27,6 +27,7 @@ from .errors import (
     ParityError,
     ShapeMismatchError,
     check_bytes,
+    check_digits,
     check_size,
 )
 from .evaluate import (
@@ -285,12 +286,14 @@ def squashed_points(n: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.
         yield 2 * classes - k, weights[classes].prod(axis=1)
 
 
-def exact_table_squashed(spec: PolynomialSpec, k: int) -> ProbabilityTable:
+def exact_table_squashed(spec: PolynomialSpec, k: int, as_text: bool = False) -> ProbabilityTable:
     """Class-indexed distribution over [-k, k]^n with mass Q(y)^2 * orbit(y) / (2^{kn} * Var).
 
     Classes count +1 entries per block (0..k); class c encodes the value
     2c - k, so every representable point satisfies the parity constraint
-    and no dead parity holes are stored.
+    and no dead parity holes are stored. ``as_text`` is for a table that
+    will be written out: its denominator, which bounds every reduced entry,
+    must then also convert to decimal text.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -299,6 +302,8 @@ def exact_table_squashed(spec: PolynomialSpec, k: int) -> ProbabilityTable:
     check_size("table", size)
     denominator = 2 ** (k * n) * k**d * m
     check_bytes("table numerators", exact_weight_bytes(size, denominator))
+    if as_text:
+        check_digits("table denominator", denominator)
     numerators = []
     for values, orbits in squashed_points(n, k, block_points(spec)):
         for vals, orbit in zip(values.tolist(), orbits.tolist()):

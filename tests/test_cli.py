@@ -1,6 +1,8 @@
 """CLI surface: exit codes, JSON schema, determinism, projections."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +134,43 @@ def test_object_width_squashed_table_exits_three_before_it_is_built(capsys, monk
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert "table numerators of about 802410030 bytes exceed the size guard" in err
+
+
+def test_squashed_table_past_the_int_to_str_limit_exits_three_before_it_is_built(capsys, monkeypatch):
+    # The document writes the denominator 2^K * K (and numerators up to it) in
+    # decimal, which Python refuses past its int-to-str digit limit. At the
+    # lowest limit, 640 digits, K = 2200 crosses it on a 2201-entry table.
+    def no_build(*args, **kwargs):
+        raise AssertionError("table built before the digit guard")
+
+    monkeypatch.setattr("polysample.tables.squashed_points", no_build)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, "dist", "squashed", "--family", "permanent", "--n", "1",
+                                     "--k", "2200", "--format", fmt)
+            assert code == 3 and out == ""
+            assert "table denominator has more than 640 decimal digits, the int-to-str limit" in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_squashed_table_just_under_the_int_to_str_limit_is_written(capsys):
+    # 2^2100 * 2100 has 636 digits: under the lowest limit, so the document is written.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, doc, _ = run_json(capsys, "dist", "squashed", "--family", "permanent", "--n", "1",
+                                "--k", "2100")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    denominator = 2**2100 * 2100
+    # class 0 is the value -2100, with one preimage: (-2100)^2 / denominator
+    first = Fraction(2100**2, denominator)
+    assert doc["results"]["table"]["probs"][0] == f"{first.numerator}/{first.denominator}"
+    assert doc["checks"][0]["detail"].endswith(f"2^{{kn}} * Var = {denominator}")
 
 
 def test_fold_random_bits_are_guarded_before_the_draw(capsys, monkeypatch):
