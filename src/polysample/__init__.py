@@ -86,6 +86,7 @@ from .tables import (
     orbit_weight,
     sample_binomial_assignment,
     sample_binomial_value,
+    sample_binomial_values,
     sample_from_table,
     squashed_points,
     tv_distance,

@@ -6,8 +6,9 @@ a ladder of 1/p thresholds. Exhaustive mode enumerates the whole input
 space and reports exact rates; Monte Carlo mode reports Wilson confidence
 intervals. Points are evaluated a block at a time (``evaluate.block_points``)
 and hits counted with array comparisons. Monte Carlo draws in the order of a
-point-at-a-time loop (a root-of-unity block is one ``(count, n_vars)`` draw,
-the same stream as per-row draws), so a seed gives the same sample either way.
+point-at-a-time loop (a block is one ``(count, n_vars)`` draw of exponents or
+one draw of ``count * n_vars`` binomial values, the same stream as per-row
+draws), so a seed gives the same sample either way.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import check_size
 from .evaluate import block_points, block_sizes, squared_values
 from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
-from .tables import FLOAT_EXACT, binomial_sampling_method, grid_blocks, sample_binomial_value, squashed_points
+from .tables import FLOAT_EXACT, binomial_sampling_method, grid_blocks, sample_binomial_values, squashed_points
 
 EXHAUSTIVE_GUARD = 1 << 22
 DEFAULT_THRESHOLDS = (0.5, 0.25, 0.125, 0.0625)
@@ -161,5 +162,5 @@ def _draw_squared_value(spec: PolynomialSpec, mode: str, param: int, evaluator: 
     if mode == "roots":
         points = rng.integers(0, param, size=(count, spec.n_vars))
         return squared_values(spec, points, ell=param, evaluator=evaluator)
-    points = [[sample_binomial_value(param, rng) for _ in range(spec.n_vars)] for _ in range(count)]
+    points = np.asarray(sample_binomial_values(param, count * spec.n_vars, rng)).reshape(count, spec.n_vars)
     return squared_values(spec, points, evaluator=evaluator)

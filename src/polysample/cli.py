@@ -526,7 +526,8 @@ def cmd_reduce(args):
         report.empirical_failure_rate <= report.delta,
         f"rate {report.empirical_failure_rate} vs delta {report.delta}",
     )]
-    rows = [[",".join(map(str, r.outcome)), r.estimate, r.truth, r.error] for r in report.records]
+    # Rendered only when the CSV projection is written.
+    rows = ([",".join(map(str, r.outcome)), r.estimate, r.truth, r.error] for r in report.records)
     return results, checks, _rows_projection(["outcome", "estimate", "truth", "error"], rows)
 
 

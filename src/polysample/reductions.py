@@ -19,12 +19,12 @@ from .families import PolynomialSpec
 from .rng import RandomSource, as_random_source
 from .samplers import SamplerHandle, make_perturbed_sampler
 from .tables import (
+    binomial_coefficients,
     binomial_sampling_method,
     exact_table_roots,
     exact_table_squashed,
     mixed_radix_index,
-    orbit_weight,
-    sample_binomial_value,
+    sample_binomial_values,
 )
 
 ROOTS = "roots"
@@ -117,13 +117,19 @@ def squashed_additive_estimator(
     Returns (integer value tuple, estimate of Q^2 at that point).
     """
     _check_shape(sampler, k + 1, spec.n_vars)
-    values = tuple(sample_binomial_value(k, rng) for _ in range(spec.n_vars))
-    if any((v - k) % 2 for v in values):
-        raise ParityError("drawn point violates the parity constraint")
-    classes = tuple((v + k) // 2 for v in values)
-    flat = mixed_radix_index(classes, k + 1)
+    values = tuple(sample_binomial_values(k, spec.n_vars, rng))
+    # One pass over the coordinates: parity, then class c = (v + k) / 2 as a
+    # mixed-radix digit and its C(k, c) preimages.
+    row = binomial_coefficients(k)
+    flat, orbit = 0, 1
+    for v in values:
+        if (v - k) % 2:
+            raise ParityError("drawn point violates the parity constraint")
+        c = (v + k) // 2
+        flat = flat * (k + 1) + c
+        orbit *= row[c]
     scale = 2 ** (k * spec.n_vars) * k**spec.degree * spec.num_monomials
-    estimate = sampler.estimate_probability(flat, gamma, rng) * scale / orbit_weight(values, k)
+    estimate = sampler.estimate_probability(flat, gamma, rng) * scale / orbit
     return values, estimate
 
 

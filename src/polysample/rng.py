@@ -36,16 +36,26 @@ class RandomSource:
         out = self._gen.normal(loc, scale, size=size)
         return float(out) if size is None else out
 
-    def randbits(self, bits: int) -> int:
-        """Uniform integer in [0, 2**bits) for arbitrarily large bit counts."""
+    def randbits(self, bits: int, count: int | None = None):
+        """Uniform integer in [0, 2**bits) for arbitrarily large bit counts; with ``count``, a list of them.
+
+        Each value is Generator.bytes(ceil(bits / 8)) without its overhead:
+        ceil(bits / 32) uint32 words, their little-endian bytes read
+        big-endian, top ``bits`` bits kept. ``count`` values draw all their
+        words in one call, the same stream as ``count`` single draws.
+        """
         if bits <= 0:
             raise ValueError("bits must be positive")
-        # Generator.bytes(nbytes) without its overhead: ceil(nbytes / 4) uint32 draws, little-endian.
-        nbytes = (bits + 7) // 8
-        nwords = (nbytes + 3) // 4
-        words = self._gen.integers(0, 1 << 32, size=None if nwords == 1 else nwords, dtype=np.uint32)
-        raw = int(words).to_bytes(4, "little") if nwords == 1 else words.astype("<u4").tobytes()
-        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - bits)
+        nwords = (bits + 31) // 32
+        words = self._gen.integers(0, 1 << 32, size=(1 if count is None else count) * nwords, dtype=np.uint32)
+        # The big-endian value of a group's 4 * nwords bytes, less the bits past ``bits``.
+        drop = 32 * nwords - bits
+        if nwords == 1:
+            values = (words.byteswap() >> drop).tolist()
+        else:
+            raw, step = words.astype("<u4").tobytes(), 4 * nwords
+            values = [int.from_bytes(raw[i:i + step], "big") >> drop for i in range(0, len(raw), step)]
+        return values[0] if count is None else values
 
 
 _MASK64 = (1 << 64) - 1

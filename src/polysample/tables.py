@@ -376,9 +376,10 @@ def variance(spec: PolynomialSpec, k: int, samples: int = 0, rng: RandomSource |
     if samples > 0:
         if rng is None:
             raise ValueError("empirical variance needs an rng")
-        acc = 0.0
+        _warn_if_approximate(k)
+        acc, n = 0.0, spec.n_vars
         for count in block_sizes(spec, samples):
-            points = [sample_binomial_assignment(spec, k, rng).values for _ in range(count)]
+            points = np.asarray(sample_binomial_values(k, count * n, rng)).reshape(count, n)
             for q in evaluate_values_batch(spec, points).tolist():
                 acc += float(q) * float(q)
         empirical = acc / samples
@@ -393,27 +394,38 @@ def binomial_sampling_method(k: int) -> str:
     return "exact-inverse-cdf" if k <= EXACT_BINOMIAL_GUARD else "rounded-normal"
 
 
-def sample_binomial_value(k: int, rng: RandomSource) -> int:
-    """One draw of a sum of k independent uniform +-1 values."""
+def sample_binomial_values(k: int, count: int, rng: RandomSource) -> list[int]:
+    """``count`` draws of a sum of k independent uniform +-1 values, in one rng call.
+
+    Up to ``EXACT_BINOMIAL_GUARD`` each draw inverts the exact cdf at a k-bit
+    uniform integer; beyond it the distribution is approximated by a normal
+    of matching mean and variance, rounded to the correct parity and clipped
+    to [-k, k]. Either way the stream is that of ``count`` single draws.
+    """
     if k <= EXACT_BINOMIAL_GUARD:
         cumulative = _binomial_cdf_table(k)
-        u = rng.randbits(k)
-        return 2 * bisect_right(cumulative, u) - k
-    # Beyond the exact guard the distribution is approximated by a rounded
-    # normal of matching mean/variance, snapped to the correct parity.
-    u = rng.normal(0.0, k**0.5)
-    value = 2 * round((u + k) / 2) - k
-    return max(-k, min(k, value))
+        return [2 * bisect_right(cumulative, u) - k for u in rng.randbits(k, count)]
+    values = (2 * round((u + k) / 2) - k for u in rng.normal(0.0, k**0.5, size=count).tolist())
+    return [max(-k, min(k, v)) for v in values]
+
+
+def sample_binomial_value(k: int, rng: RandomSource) -> int:
+    """One draw of a sum of k independent uniform +-1 values."""
+    return sample_binomial_values(k, 1, rng)[0]
 
 
 def sample_binomial_assignment(spec: PolynomialSpec, k: int, rng: RandomSource) -> Assignment:
+    _warn_if_approximate(k)
+    return Assignment.integers(k, sample_binomial_values(k, spec.n_vars, rng))
+
+
+def _warn_if_approximate(k: int) -> None:
     if k > EXACT_BINOMIAL_GUARD:
         warnings.warn(
             f"k = {k} exceeds the exact-sampling guard; using rounded-normal approximation",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return Assignment.integers(k, [sample_binomial_value(k, rng) for _ in range(spec.n_vars)])
 
 
 @lru_cache(maxsize=1)
@@ -422,6 +434,12 @@ def _binomial_cdf_table(k: int) -> tuple[int, ...]:
     # the smallest c with U < cumulative[c]. Callers draw at one k, so one
     # row is kept.
     return tuple(accumulate(_binomial_row(k)))
+
+
+@lru_cache(maxsize=1)
+def binomial_coefficients(k: int) -> tuple[int, ...]:
+    """C(k, 0), ..., C(k, k), memoized for the one k a reduction draws at."""
+    return tuple(_binomial_row(k))
 
 
 def _binomial_row(k: int) -> Iterator[int]:

@@ -43,6 +43,23 @@ def test_randbits_keeps_the_generator_bytes_stream():
         assert fast.random() == reference.random()
 
 
+@pytest.mark.parametrize("interleave", [False, True])
+@pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 31, 32, 33, 64, 65, 257])
+def test_randbits_count_is_the_stream_of_single_draws(bits, interleave):
+    # One call for count values equals count single calls, and both equal the
+    # Generator.bytes decoding, with or without a uniform draw between blocks.
+    block, single, reference = RandomSource(22, 5), RandomSource(22, 5), RandomSource(22, 5)._gen
+    nbytes = (bits + 7) // 8
+    for count in (0, 1, 3, 10):
+        expected = [int.from_bytes(reference.bytes(nbytes), "big") >> (8 * nbytes - bits) for _ in range(count)]
+        assert block.randbits(bits, count) == expected
+        assert [single.randbits(bits) for _ in range(count)] == expected
+        if interleave:
+            u = reference.uniform(0.0, 1.0)
+            assert block.uniform(0.0, 1.0) == u and single.uniform(0.0, 1.0) == u
+    assert all(type(v) is int for v in block.randbits(bits, 4))
+
+
 def test_integers_half_open():
     rng = RandomSource(12)
     draws = rng.integers(0, 3, size=300)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb
@@ -28,6 +29,7 @@ from polysample import (
     orbit_weight,
     permanent,
     sample_binomial_value,
+    sample_binomial_values,
     sample_from_table,
     tv_distance,
     variance,
@@ -364,6 +366,51 @@ def test_exact_binomial_guard_bounds_the_cdf_table():
         tables._binomial_cdf_table.cache_clear()
     assert binomial_sampling_method(k) == "exact-inverse-cdf"
     assert binomial_sampling_method(k + 1) == "rounded-normal"
+
+
+def _scalar_binomial(k, rng):
+    # One draw as a coordinate-at-a-time loop makes it: k random bits
+    # inverted through the cdf, or one normal draw rounded half to even.
+    if k <= EXACT_BINOMIAL_GUARD:
+        return 2 * bisect_right(tables._binomial_cdf_table(k), rng.randbits(k)) - k
+    value = 2 * round((rng.normal(0.0, k**0.5) + k) / 2) - k
+    return max(-k, min(k, value))
+
+
+@pytest.mark.parametrize("k", [1, 2, 40, EXACT_BINOMIAL_GUARD, EXACT_BINOMIAL_GUARD + 1])
+def test_binomial_block_draw_is_the_stream_of_single_draws(k):
+    block, single = RandomSource(41, 2), RandomSource(41, 2)
+    for count in (1, 7, 20):
+        values = sample_binomial_values(k, count, block)
+        assert values == [_scalar_binomial(k, single) for _ in range(count)]
+        assert all(type(v) is int and abs(v) <= k and (v - k) % 2 == 0 for v in values)
+        assert block.uniform(0.0, 1.0) == single.uniform(0.0, 1.0)
+    assert sample_binomial_value(k, block) == _scalar_binomial(k, single)
+
+
+class _FixedNormals(RandomSource):
+    """A source whose normal draws are given: scalar calls pop one, sized calls pop that many."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        out, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(out)
+
+
+def test_rounded_normal_binomial_rounds_half_to_even_and_clips():
+    k = EXACT_BINOMIAL_GUARD + 1  # odd: (u + k) / 2 is a half-integer at even u
+    draws = [0.0, 2.0, -2.0, 0.9, -0.9, k + 10.0, -k - 10.0, 3.0 * k]
+    # (u + k) / 2 = 8192.5 -> 8192, 8193.5 -> 8194, 8191.5 -> 8192 (ties to even),
+    # 8192.95 -> 8193, 8192.05 -> 8192; the last three land past +-k and are clipped.
+    expected = [-1, 3, -1, 1, -1, k, -k, k]
+    assert sample_binomial_values(k, len(draws), _FixedNormals(draws)) == expected
+    single = _FixedNormals(draws)
+    assert [sample_binomial_value(k, single) for _ in draws] == expected
 
 
 def test_binomial_values_have_matching_parity(rng_factory):
