@@ -102,6 +102,9 @@ CASES = {
     # The lift gives three coordinates per trial on a 41^3-entry table.
     "reduce_squashed_perm1_lift3_k40": ["reduce", "squashed", "--family", "permanent", "--n", "1",
                                         "--lift", "3", "--k", "40", *_REDUCTION, "--seed", "21"],
+    # A double table's CSV projection: 5^4 rows of float reprs.
+    "sim_es_perm2_ell5_csv": ["sim", "es", "--family", "permanent", "--n", "2", "--ell", "5",
+                              "--format", "csv"],
     "reduce_squashed_perm2_k2_csv": ["reduce", "squashed", "--family", "permanent", "--n", "2", "--k", "2",
                                      "--epsilon", "0.5", "--delta", "0.25", "--trials", "40",
                                      "--seed", "22", "--format", "csv"],
