@@ -281,7 +281,7 @@ def _write_document(handle, doc) -> None:
     """Write ``json.dumps(doc, indent=2) + "\\n"``, streaming the probs of each ProbabilityTable in it.
 
     Neither the full entry list nor the full text of a table is ever built:
-    entries are rendered one ``entry_chunks`` list at a time.
+    entries are written one ``entry_chunks`` list at a time.
     """
     tables = []
 
@@ -294,14 +294,14 @@ def _write_document(handle, doc) -> None:
     for head, table in zip(parts, tables):
         line = head[head.rfind("\n") + 1:]
         outer = " " * (len(line) - len(line.lstrip(" ")))
-        separator = ",\n  " + outer
-        render = '"{}"'.format if table.arithmetic == RATIONAL else float.__repr__
+        quote = '"' if table.arithmetic == RATIONAL else ""
+        separator = quote + ",\n  " + outer + quote
         handle.write(head)
-        lead = "[\n  " + outer
+        lead = "[\n  " + outer + quote
         for chunk in table.entry_chunks():
-            handle.write(lead + separator.join(map(render, chunk)))
+            handle.write(lead + separator.join(chunk))
             lead = separator
-        handle.write("\n" + outer + "]")
+        handle.write(quote + "\n" + outer + "]")
     handle.write(parts[-1] + "\n")
 
 

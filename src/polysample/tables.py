@@ -53,6 +53,9 @@ FLOAT_EXACT = 1 << 53
 # Entries rendered at a time when a table is written out, which bounds the
 # Python numbers and strings alive at once whatever the table's size.
 WRITE_CHUNK = 1 << 14
+# Characters of the widest int64 "p/q" entry. A written chunk holds at most
+# WRITE_CHUNK entries of this width; wider exact entries come fewer per chunk.
+INT64_TEXT = 2 * len(str(INT64_LIMIT)) + 1
 
 
 def mixed_radix_index(digits: Sequence[int], radix: int) -> int:
@@ -161,26 +164,42 @@ class ProbabilityTable:
 
     # -- serialization ------------------------------------------------------
 
-    def entry_chunks(self) -> Iterator[list]:
-        """JSON/CSV entries in flat order, ``WRITE_CHUNK`` per list.
+    def chunk_rows(self) -> int:
+        """Entries per ``entry_chunks`` list: ``WRITE_CHUNK``, fewer for entries wider than ``INT64_TEXT``.
 
-        Exact tables give reduced "p/q" strings, double tables floats.
+        A reduced entry p/q has p <= q <= denominator. A double's repr takes
+        at most 24 characters, and a double table's denominator is 1.
         """
-        for start in range(0, self.size, WRITE_CHUNK):
-            w = self.weights[start:start + WRITE_CHUNK]
+        width = 2 * len(str(self.denominator)) + 1
+        return max(1, min(WRITE_CHUNK, WRITE_CHUNK * INT64_TEXT // width))
+
+    def entry_chunks(self) -> Iterator[list[str]]:
+        """JSON/CSV entry text in flat order, ``chunk_rows()`` entries per list.
+
+        Exact tables give reduced "p/q", double tables ``float.__repr__``.
+        Each distinct value of a chunk is rendered once. Doubles are told
+        apart by bit pattern: -0.0 == 0.0, but their reprs differ.
+        """
+        rows = self.chunk_rows()
+        for start in range(0, self.size, rows):
+            w = self.weights[start:start + rows]
             if self.arithmetic == DOUBLE:
-                yield w.tolist()
+                bits, inverse = np.unique(w.view(np.int64), return_inverse=True)
+                text = list(map(float.__repr__, bits.view(np.float64).tolist()))
             else:
-                common = np.gcd(w, self.denominator)
-                p, q = (w // common).tolist(), (self.denominator // common).tolist()
-                yield list(map("{}/{}".format, p, q))
+                values, inverse = np.unique(w, return_inverse=True)
+                common = np.gcd(values, self.denominator)
+                p, q = (values // common).tolist(), (self.denominator // common).tolist()
+                text = list(map("{}/{}".format, p, q))
+            yield np.array(text, dtype=object)[inverse].tolist()
 
     def to_json_dict(self) -> dict:
         return {
             "radix": self.radix,
             "length": self.length,
             "arithmetic": self.arithmetic,
-            "probs": [entry for chunk in self.entry_chunks() for entry in chunk],
+            "probs": self.weights.tolist() if self.arithmetic == DOUBLE
+            else [entry for chunk in self.entry_chunks() for entry in chunk],
         }
 
     @staticmethod
@@ -201,7 +220,7 @@ class ProbabilityTable:
         writer = csv.writer(stream)
         writer.writerow(["index", "outcome", "probability"])
         start = 0
-        for digits, entries in zip(grid_blocks(self.length, self.radix, WRITE_CHUNK), self.entry_chunks()):
+        for digits, entries in zip(grid_blocks(self.length, self.radix, self.chunk_rows()), self.entry_chunks()):
             outcomes = map(",".join, digits.astype(str).tolist())
             writer.writerows(zip(range(start, start + len(entries)), outcomes, entries))
             start += len(entries)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysample import ProbabilityTable, cli, mixed_radix_digits, tables
+from polysample import ProbabilityTable, cli, mixed_radix_digits, permanent, tables
 from polysample.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
@@ -174,12 +174,8 @@ def _reference_entries(table):
     return [f"{f.numerator}/{f.denominator}" for f in fractions]
 
 
-@pytest.mark.parametrize("size", sorted(SHAPES))
-@pytest.mark.parametrize("arithmetic", ["double", "int64", "object"])
-def test_streamed_writer_matches_one_shot_rendering(arithmetic, size, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(tables, "WRITE_CHUNK", CHUNK)
-    table = _table(arithmetic, size)
-    assert (table.weights.dtype == object) is (arithmetic == "object")
+def _assert_written_as_one_shot(table, tmp_path, capsys):
+    """JSON and CSV, to a file and to stdout, match the renderings of the per-entry reference."""
     entries = _reference_entries(table)
     doc = {"command": "dist roots", "results": {"table": table, "note": "x"}, "checks": []}
     table_doc = {"radix": table.radix, "length": table.length, "arithmetic": table.arithmetic,
@@ -197,6 +193,56 @@ def test_streamed_writer_matches_one_shot_rendering(arithmetic, size, tmp_path, 
         assert path.read_bytes().decode() == expected[fmt]
         cli._write_output(argparse.Namespace(format=fmt, output=None), doc, table.write_csv)
         assert capsys.readouterr().out == expected[fmt]
+
+
+@pytest.mark.parametrize("size", sorted(SHAPES))
+@pytest.mark.parametrize("arithmetic", ["double", "int64", "object"])
+def test_streamed_writer_matches_one_shot_rendering(arithmetic, size, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tables, "WRITE_CHUNK", CHUNK)
+    table = _table(arithmetic, size)
+    assert (table.weights.dtype == object) is (arithmetic == "object")
+    _assert_written_as_one_shot(table, tmp_path, capsys)
+
+
+# A writer chunk renders each distinct value once. These tables draw their
+# entries from a small pool, repeated within and across chunk boundaries.
+_S = (1 << 64) + 1
+REPEATED = {
+    # -0.0 == 0.0, but the two render differently; both sit in the first chunk.
+    "double": [0.0, -0.0, 0.25, 0.125, 0.25, -0.0, 0.125, 0.25, 1e-20],
+    # Over 24: 1/12, 1/8, 1/6, 1/4 and 7/24.
+    "int64": [0, 2, 3, 4, 3, 2, 0, 3, 7],
+    # Over 24 * S: the multiples of S reduce to small fractions, 4S - 1 and
+    # 6S + 1 do not.
+    "object": [0, 2 * _S, 3 * _S, 4 * _S, 3 * _S, 2 * _S, 0, 4 * _S - 1, 6 * _S + 1],
+}
+
+
+@pytest.mark.parametrize("arithmetic", sorted(REPEATED))
+def test_streamed_writer_renders_repeated_values_per_entry(arithmetic, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tables, "WRITE_CHUNK", CHUNK)
+    values = REPEATED[arithmetic]
+    if arithmetic == "double":
+        table = ProbabilityTable(3, 2, np.array(values))
+    else:
+        table = ProbabilityTable(3, 2, np.array(values, dtype=object), sum(values))
+    assert (table.weights.dtype == object) is (arithmetic == "object")
+    chunks = list(table.entry_chunks())
+    assert len(chunks) > 1
+    assert [entry for chunk in chunks for entry in chunk] == list(map(str, _reference_entries(table)))
+    _assert_written_as_one_shot(table, tmp_path, capsys)
+
+
+def test_wide_table_chunks_stay_within_text_budget(tmp_path, capsys):
+    # The denominator 2^2000 * 2000 has 607 digits, so 2001 entries of up to
+    # 1215 characters would make one WRITE_CHUNK-entry chunk of 2.4 MB.
+    table = tables.exact_table_squashed(permanent(1), 2000, as_text=True)
+    assert table.weights.dtype == object and table.size < tables.WRITE_CHUNK
+    budget = tables.WRITE_CHUNK * tables.INT64_TEXT
+    chunks = list(table.entry_chunks())
+    assert len(chunks) > 1
+    assert all(sum(map(len, chunk)) <= budget for chunk in chunks)
+    _assert_written_as_one_shot(table, tmp_path, capsys)
 
 
 def regenerate(out_dir: Path, names) -> None:

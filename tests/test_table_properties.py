@@ -6,10 +6,11 @@ the integer form replaced.
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polysample import (
@@ -21,6 +22,7 @@ from polysample import (
     noisy_scale,
     tv_distance,
 )
+from polysample import tables
 from polysample.tables import exact_weights
 
 # Denominators on both sides of the float (2^53) and int64 (2^63) edges.
@@ -100,6 +102,37 @@ def test_noisy_query_scales_the_correctly_rounded_float_of_each_fraction(table, 
         got = sampler.estimate_probability(i, gamma, RandomSource(seed, i))
         want = noisy_scale(float(p), gamma, RandomSource(seed, i))
         assert got.hex() == want.hex()
+
+
+@st.composite
+def repeated_value_tables(draw):
+    """Tables whose entries come from a pool of at most four values; exact ones on both sides of 2^63."""
+    radix, length = draw(SHAPES)
+    if draw(st.booleans()):
+        # -0.0 == 0.0, but the two render differently.
+        pool = [0.0, -0.0, *draw(st.lists(st.sampled_from([1e-20, 0.5, 1 / 3]) | st.floats(0, 1),
+                                          min_size=1, max_size=2))]
+        probs = np.array(draw(st.lists(st.sampled_from(pool), min_size=radix**length,
+                                       max_size=radix**length)))
+        assume(probs.sum() > 0)
+        return ProbabilityTable(radix, length, probs / probs.sum())
+    pool = draw(st.lists(st.integers(0, 12) | st.integers(1 << 62, 1 << 80), min_size=1, max_size=4))
+    numerators = draw(st.lists(st.sampled_from(pool), min_size=radix**length, max_size=radix**length))
+    assume(sum(numerators) > 0)
+    return ProbabilityTable(radix, length, exact_weights(numerators, sum(numerators)), sum(numerators))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_value_tables())
+def test_entry_chunks_render_every_entry_as_its_own_value(table):
+    if table.arithmetic == "double":
+        reference = list(map(repr, table.weights.tolist()))
+    else:
+        reference = [f"{p.numerator}/{p.denominator}" for p in _fractions(table)]
+    with mock.patch.object(tables, "WRITE_CHUNK", 3):
+        chunks = list(table.entry_chunks())
+        assert all(len(chunk) <= table.chunk_rows() for chunk in chunks)
+    assert [entry for chunk in chunks for entry in chunk] == reference
 
 
 def test_width_edge_at_two_to_the_63():
