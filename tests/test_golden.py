@@ -76,6 +76,10 @@ CASES = {
                                "--k", "1"],
     "dist_roots_perm3_ell2": ["dist", "roots", "--family", "permanent", "--n", "3", "--ell", "2"],
     "dist_roots_perm2_ell3": ["dist", "roots", "--family", "permanent", "--n", "2", "--ell", "3"],
+    "dist_roots_hc3_ell2": ["dist", "roots", "--family", "hamiltonian_cycle", "--n", "3", "--ell", "2"],
+    "dist_roots_lift3_ell5": ["dist", "roots", "--family", "permanent", "--n", "1", "--lift", "3",
+                              "--ell", "5"],
+    "dist_roots_perm2_ell6": ["dist", "roots", "--family", "permanent", "--n", "2", "--ell", "6"],
     "sim_fold_values": ["sim", "fold", "--values", "1,-1,-1,-1,1,1,-1,1"],
     # The perturbed tables' common denominators are 3 * 2^56 (past 2^53) and
     # 3 * 2^66 (past 2^63).

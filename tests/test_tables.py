@@ -26,6 +26,7 @@ from polysample import (
     lift_k_equivalent,
     mixed_radix_digits,
     mixed_radix_index,
+    monomial_of_index,
     orbit_weight,
     permanent,
     sample_binomial_value,
@@ -94,6 +95,52 @@ def test_roots_table_l3_entries_match_slow_reference():
         q = evaluate_by_enumeration(spec, Assignment.roots(3, digits))
         expected = abs(q) ** 2 / (81 * 2)
         assert abs(float(table[flat]) - expected) < 1e-12
+
+
+def _roots_oracle(spec, ell):
+    """Numerators and denominator of the root table by the per-mask loop over the full grid.
+
+    Each digit is taken by integer division of the flat index; omega^s is an
+    exact +-1 at ell = 2 and a complex double otherwise.
+    """
+    n, m = spec.n_vars, spec.num_monomials
+    size = ell**n
+    powers = np.array([1, -1]) if ell == 2 else np.exp(2j * np.pi * np.arange(ell) / ell)
+    amp = np.zeros(size, dtype=powers.dtype)
+    idx = np.arange(size, dtype=np.int64)
+    for z in range(m):
+        exp_sum = np.zeros(size, dtype=np.int64)
+        for i, bit in enumerate(monomial_of_index(spec, z)):
+            if bit:
+                exp_sum += (idx // ell ** (n - 1 - i)) % ell
+        amp += powers[exp_sum % ell]
+    if ell == 2:
+        return amp * amp, size * m
+    return (amp.real**2 + amp.imag**2) / (size * m), 1
+
+
+# Every spec at every ell from 2 to 6 whose table has at most 2^16 entries.
+ORACLE_CASES = [
+    pytest.param(spec, ell, id=f"{spec.family}-{spec.n_vars}vars-ell{ell}")
+    for spec in [permanent(1), permanent(2), permanent(3), hamiltonian_cycle(2), hamiltonian_cycle(3),
+                 lift_k_equivalent(permanent(2), 2)]
+    for ell in range(2, 7)
+    if ell**spec.n_vars <= 1 << 16
+]
+
+
+@pytest.mark.parametrize("spec, ell", ORACLE_CASES)
+def test_roots_table_matches_the_full_grid_oracle_bit_for_bit(spec, ell, monkeypatch):
+    # About nine blocks per table, the last one ragged.
+    monkeypatch.setattr(tables, "WRITE_CHUNK", ell**spec.n_vars // 9 + 1)
+    table = exact_table_roots(spec, ell)
+    weights, denominator = _roots_oracle(spec, ell)
+    assert table.denominator == denominator
+    if ell == 2:
+        assert table.weights.dtype == np.int64
+        assert np.array_equal(table.weights, weights)
+    else:
+        assert np.array_equal(table.weights.view(np.int64), weights.view(np.int64))
 
 
 def test_roots_table_rejects_degenerate_ell():
