@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +50,9 @@ DOUBLE_NORMALIZATION_TOL = 1e-9
 EXACT_BINOMIAL_GUARD = 1 << 14
 # Integers below 2^53 convert to float64 exactly.
 FLOAT_EXACT = 1 << 53
-# Entries rendered at a time when a table is written out, which bounds the
-# Python numbers and strings alive at once whatever the table's size.
+# Entries of a root table built at a time, and entries rendered at a time
+# when a table is written out. This bounds the block arrays and the Python
+# numbers and strings alive at once whatever the table's size.
 WRITE_CHUNK = 1 << 14
 # Characters of the widest int64 "p/q" entry. A written chunk holds at most
 # WRITE_CHUNK entries of this width; wider exact entries come fewer per chunk.
@@ -231,39 +232,31 @@ class ProbabilityTable:
 
 
 def exact_table_roots(spec: PolynomialSpec, ell: int) -> ProbabilityTable:
-    """Distribution over [0, ell-1]^n with mass |Q(root-of-unity point)|^2 / (ell^n * m)."""
+    """Distribution over [0, ell-1]^n with mass |Q(root-of-unity point)|^2 / (ell^n * m).
+
+    Built one ``grid_blocks`` block at a time: each point adds omega^s, s its
+    exponent sum, mask by mask in rank order from a lookup of exact +-1
+    integers at ell = 2 and complex doubles otherwise.
+    """
     if ell < 2:
         raise ValueError("ell must be >= 2 (ell = 1 is degenerate)")
     n, m = spec.n_vars, spec.num_monomials
     size = ell**n
     check_size("table", size)
     check_size("monomial list", m, ENUMERATION_GUARD)
-    masks = [monomial_of_index(spec, z) for z in range(m)]
-    if ell == 2:
-        values = _signed_sums_over_hypercube(masks, n)
-        return ProbabilityTable(2, n, values * values, size * m)
-    amp = np.zeros(size, dtype=np.complex128)
-    omega_pow = np.exp(2j * np.pi * np.arange(ell) / ell)
-    idx = np.arange(size, dtype=np.int64)
-    for mask in masks:
-        exp_sum = np.zeros(size, dtype=np.int64)
-        for i, bit in enumerate(mask):
-            if bit:
-                exp_sum += (idx // ell ** (n - 1 - i)) % ell
-        amp += omega_pow[exp_sum % ell]
-    return ProbabilityTable(ell, n, (amp.real**2 + amp.imag**2) / (size * m))
-
-
-def _signed_sums_over_hypercube(masks: Iterable[Sequence[int]], n: int) -> np.ndarray:
-    # Value at flat index y of sum over masks of prod_{i in mask} (-1)^{y_i},
-    # with variable i stored at bit (n-1-i).
-    idx = np.arange(1 << n, dtype=np.uint64)
-    out = np.zeros(1 << n, dtype=np.int64)
-    for mask in masks:
-        packed = np.uint64(sum(1 << (n - 1 - i) for i, bit in enumerate(mask) if bit))
-        parity = np.bitwise_count(idx & packed).astype(np.int64) & 1
-        out += 1 - 2 * parity
-    return out
+    columns = [np.flatnonzero(monomial_of_index(spec, z)) for z in range(m)]
+    powers = np.array([1, -1]) if ell == 2 else np.exp(2j * np.pi * np.arange(ell) / ell)
+    digit = np.min_scalar_type(max(map(len, columns)) * (ell - 1))  # holds every exponent sum
+    weights = np.empty(size, dtype=np.int64 if ell == 2 else np.float64)
+    start = 0
+    for digits in grid_blocks(n, ell, WRITE_CHUNK):
+        digits = digits.astype(digit)
+        q = np.zeros(len(digits), dtype=powers.dtype)
+        for cols in columns:
+            q += powers.take(digits[:, cols].sum(axis=1, dtype=digit) % ell)
+        weights[start:start + len(q)] = q * q if ell == 2 else (q.real**2 + q.imag**2) / (size * m)
+        start += len(q)
+    return ProbabilityTable(ell, n, weights, size * m if ell == 2 else 1)
 
 
 def orbit_weight(y, k: int) -> int:
@@ -286,10 +279,14 @@ def grid_blocks(n: int, radix: int, rows: int) -> Iterator[np.ndarray]:
     rows pass ``evaluate.block_points(spec)``.
     """
     size = radix**n
-    place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    power = np.arange(n - 1, -1, -1, dtype=np.int64)
+    shift = radix.bit_length() - 1
     for start in range(0, size, rows):
-        flat = np.arange(start, min(start + rows, size), dtype=np.int64)
-        yield flat[:, None] // place % radix
+        flat = np.arange(start, min(start + rows, size), dtype=np.int64)[:, None]
+        if radix == 1 << shift:  # the same digits by shift and mask, several times faster
+            yield (flat >> shift * power) & (radix - 1)
+        else:
+            yield flat // radix**power % radix
 
 
 def squashed_points(n: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
