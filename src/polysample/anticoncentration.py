@@ -82,8 +82,12 @@ def anticoncentration_experiment(
 ) -> TailReport:
     if (k is None) == (ell is None):
         raise ValueError("give exactly one of k (integer mode) or ell (roots mode)")
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     if not exhaustive and samples < 1:
         raise ValueError("Monte Carlo mode needs samples >= 1")
+    if exhaustive and samples:
+        raise ValueError(f"samples must be 0 in exhaustive mode, got {samples}")
     thresholds = [float(t) for t in thresholds]
     if any(t < 0 for t in thresholds):
         raise ValueError("thresholds are 1/p values and must be >= 0")

@@ -229,7 +229,7 @@ def _reduction_flags(p):
 
 def _build_spec(args):
     spec = permanent(args.n) if args.family == "permanent" else hamiltonian_cycle(args.n)
-    if getattr(args, "lift", None):
+    if getattr(args, "lift", None) is not None:
         spec = lift_k_equivalent(spec, args.lift)
     return spec
 

@@ -165,6 +165,14 @@ def _run_reduction(kind, spec, param, epsilon, delta, trials, seed, beta, gamma)
     sched_beta, sched_gamma = guarantee_schedule(epsilon, delta)
     beta = sched_beta if beta is None else beta
     gamma = sched_gamma if gamma is None else gamma
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0 <= gamma < 1:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     rng = as_random_source(seed)
     if kind == ROOTS:
         target, estimator = exact_table_roots(spec, param), additive_estimator

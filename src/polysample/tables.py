@@ -384,6 +384,8 @@ class VarianceReport:
 def variance(spec: PolynomialSpec, k: int, samples: int = 0, rng: RandomSource | None = None) -> VarianceReport:
     if k < 1:
         raise ValueError("k must be >= 1")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     m, d = spec.num_monomials, spec.degree
     closed = k**d * m
     coordinate_second_moment = sum(term * (k - 2 * i) ** 2 for i, term in enumerate(_binomial_row(k)))

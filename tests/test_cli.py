@@ -194,6 +194,28 @@ def test_config_error_exit_code(capsys):
     assert "ell" in err
 
 
+_PERM2 = ["--family", "permanent", "--n", "2"]
+_REDUCE = ["reduce", "additive", *_PERM2, "--ell", "2", "--epsilon", "0.5", "--delta", "0.25"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["dist", "roots", *_PERM2, "--ell", "2", "--lift", "0"], "lift"),
+    ([*_REDUCE, "--trials", "0"], "trials"),
+    ([*_REDUCE, "--trials", "5", "--gamma", "-0.5"], "gamma"),
+    (["reduce", "additive", *_PERM2, "--ell", "2", "--epsilon", "-0.1", "--beta", "0.01",
+      "--delta", "0.25", "--trials", "5"], "epsilon"),
+    (["reduce", "squashed", *_PERM2, "--k", "2", "--epsilon", "0.5", "--delta", "2", "--trials", "5"], "delta"),
+    (["anticon", *_PERM2, "--k", "0", "--exhaustive"], "k"),
+    (["anticon", *_PERM2, "--k", "0", "--samples", "5"], "k"),
+    (["anticon", *_PERM2, "--ell", "2", "--exhaustive", "--samples", "7"], "samples"),
+    (["dist", "variance", *_PERM2, "--k", "2", "--samples", "-5"], "samples"),
+])
+def test_out_of_range_arguments_exit_two_naming_the_argument(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} ")
+
+
 def test_argparse_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poly", "rank", "--family", "nope", "--n", "3", "--mask", "1"])

@@ -19,6 +19,7 @@ from polysample import (
     run_squashed_reduction,
     squashed_additive_estimator,
     guarantee_schedule,
+    reductions,
 )
 
 
@@ -175,3 +176,31 @@ def test_lift_requires_records_and_positive_p():
     report.records = []
     with pytest.raises(ValueError):
         multiplicative_lift(report, lambda n, inv_delta: 1.0)
+
+
+@pytest.mark.parametrize("bad, name", [
+    (dict(trials=0), "trials"),
+    (dict(epsilon=0.0), "epsilon"),
+    (dict(epsilon=-0.1, beta=0.01), "epsilon"),
+    (dict(delta=0.0), "delta"),
+    (dict(delta=1.0), "delta"),
+    (dict(delta=2.0), "delta"),
+    (dict(gamma=-0.5), "gamma"),
+    (dict(gamma=1.0), "gamma"),
+    (dict(epsilon=64.0, delta=0.5), "gamma"),  # the schedule's gamma = 4
+])
+@pytest.mark.parametrize("run", [run_roots_reduction, run_squashed_reduction])
+def test_arguments_outside_their_ranges_are_rejected_before_any_table(run, bad, name, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built before the arguments were checked")
+
+    monkeypatch.setattr(reductions, "exact_table_roots", no_table)
+    monkeypatch.setattr(reductions, "exact_table_squashed", no_table)
+    args = {"epsilon": 0.5, "delta": 0.25, "trials": 5, "seed": 1, **bad}
+    with pytest.raises(ValueError, match=f"^{name} "):
+        run(permanent(2), 2, **args)
+
+
+def test_arguments_at_the_edges_of_their_ranges_are_accepted():
+    report = run_roots_reduction(permanent(2), 2, 1e-9, 0.999, 1, 7, gamma=0.0)
+    assert report.trials == 1 and report.gamma == 0.0
