@@ -320,11 +320,6 @@ def test_fold_rejects_bad_alphabet_and_size():
 # variance
 
 
-def test_variance_rejects_a_negative_sample_count():
-    with pytest.raises(ValueError, match="^samples must be >= 0"):
-        variance(permanent(2), 2, samples=-5, rng=RandomSource(1))
-
-
 def test_variance_closed_equals_sum_form_up_to_k30():
     for spec in (permanent(2), permanent(3), hamiltonian_cycle(4)):
         for k in range(1, 31):
