@@ -246,7 +246,7 @@ def exact_table_roots(spec: PolynomialSpec, ell: int) -> ProbabilityTable:
     check_size("monomial list", m, ENUMERATION_GUARD)
     columns = [np.flatnonzero(monomial_of_index(spec, z)) for z in range(m)]
     powers = np.array([1, -1]) if ell == 2 else np.exp(2j * np.pi * np.arange(ell) / ell)
-    digit = np.min_scalar_type(max(map(len, columns)) * (ell - 1))  # holds every exponent sum
+    digit = np.min_scalar_type(max(max(map(len, columns)) * (ell - 1), ell))  # every exponent sum and ell
     weights = np.empty(size, dtype=np.int64 if ell == 2 else np.float64)
     start = 0
     for digits in grid_blocks(n, ell, WRITE_CHUNK):

@@ -119,14 +119,16 @@ def _roots_oracle(spec, ell):
     return (amp.real**2 + amp.imag**2) / (size * m), 1
 
 
-# Every spec at every ell from 2 to 6 whose table has at most 2^16 entries.
+# Every spec at every ell from 2 to 6 whose table has at most 2^16 entries, and
+# permanent(1) at ell = 256 and 65536, where every exponent sum fits a digit
+# type narrower than ell itself.
 ORACLE_CASES = [
     pytest.param(spec, ell, id=f"{spec.family}-{spec.n_vars}vars-ell{ell}")
     for spec in [permanent(1), permanent(2), permanent(3), hamiltonian_cycle(2), hamiltonian_cycle(3),
                  lift_k_equivalent(permanent(2), 2)]
     for ell in range(2, 7)
     if ell**spec.n_vars <= 1 << 16
-]
+] + [pytest.param(permanent(1), ell, id=f"permanent-1vars-ell{ell}") for ell in (256, 1 << 16)]
 
 
 @pytest.mark.parametrize("spec, ell", ORACLE_CASES)
