@@ -275,18 +275,21 @@ def orbit_weight(y, k: int) -> int:
 def grid_blocks(n: int, radix: int, rows: int) -> Iterator[np.ndarray]:
     """Digit rows of every point of [0, radix)^n in flat-index order.
 
-    Yields int64 arrays of at most ``rows`` rows; callers that evaluate the
-    rows pass ``evaluate.block_points(spec)``.
+    Yields int64 arrays of at most ``rows`` rows (callers that evaluate them
+    pass ``evaluate.block_points(spec)``), sliced from a tiled grid of the
+    last ``low`` digits beside one leading row per ``radix**low`` points.
     """
     size = radix**n
-    power = np.arange(n - 1, -1, -1, dtype=np.int64)
-    shift = radix.bit_length() - 1
+    low = next(low for low in range(n, -1, -1) if radix**low <= rows)
+    period = radix**low
+    tail = np.indices((radix,) * low).reshape(low, period).T
+    tail = np.tile(tail, ((min(rows, size) - 1) // period + 2, 1))
+    power = radix ** np.arange(n - low - 1, -1, -1, dtype=np.int64)
     for start in range(0, size, rows):
-        flat = np.arange(start, min(start + rows, size), dtype=np.int64)[:, None]
-        if radix == 1 << shift:  # the same digits by shift and mask, several times faster
-            yield (flat >> shift * power) & (radix - 1)
-        else:
-            yield flat // radix**power % radix
+        first, skip = divmod(start, period)
+        end = skip + min(rows, size - start)
+        head = np.arange(first, first + (end - 1) // period + 1)[:, None] // power % radix
+        yield np.hstack([np.repeat(head, period, axis=0)[skip:end], tail[skip:end]])
 
 
 def squashed_points(n: int, k: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

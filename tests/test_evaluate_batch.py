@@ -122,10 +122,11 @@ def test_block_sizes_cover_the_points_in_budget_sized_blocks(total):
 
 
 def test_grids_honour_the_row_count_and_flat_order():
-    for radix in (2, 3, 4, 5, 8):  # shift and mask at powers of two, divide and modulo otherwise
-        blocks = list(grid_blocks(3, radix, rows=10))
+    # Row counts below the radix, between its powers, and past the grid size.
+    for radix, rows in product((2, 3, 4, 5, 8), (1, 3, 10, 30, 1000)):
+        blocks = list(grid_blocks(3, radix, rows))
         size = radix**3
-        assert [len(b) for b in blocks] == [10] * (size // 10) + [size % 10] * (size % 10 > 0)
+        assert [len(b) for b in blocks] == [rows] * (size // rows) + [size % rows] * (size % rows > 0)
         assert all(b.dtype == np.int64 for b in blocks)
         assert [tuple(row) for b in blocks for row in b.tolist()] == list(product(range(radix), repeat=3))
     points = [(tuple(v), w) for values, orbits in squashed_points(2, 2, rows=4)
