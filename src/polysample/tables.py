@@ -280,7 +280,7 @@ def grid_blocks(n: int, radix: int, rows: int) -> Iterator[np.ndarray]:
     last ``low`` digits beside one leading row per ``radix**low`` points.
     """
     size = radix**n
-    low = next(low for low in range(n, -1, -1) if radix**low <= rows)
+    low = next(k for k in range(n, -1, -1) if radix**k <= rows)
     period = radix**low
     tail = np.indices((radix,) * low).reshape(low, period).T
     tail = np.tile(tail, ((min(rows, size) - 1) // period + 2, 1))
