@@ -1,5 +1,7 @@
 """Statevector preparation, Fourier passes, and circuit-vs-table equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from polysample import (
     run_roots_sampler_circuit,
     run_squashed_sampler_circuit,
     build_squashed_transform,
+    squashed_circuit_state,
     tv_distance,
 )
 
@@ -95,6 +98,71 @@ def test_single_qudit_gate_targets_correct_axis():
     assert np.allclose(out.amps, [0, 1, 0, 0])
     out = apply_single_qudit_gate(state, x, 0)
     assert np.allclose(out.amps, [0, 0, 1, 0])
+
+
+def _axis_permutation_gate(state, matrix, qudit):
+    # Oracle: move the qudit's axis to the front, contract it with the gate, move it back.
+    q, n = state.qudit_dim, state.num_qudits
+    psi = np.moveaxis(state.amps.reshape([q] * n), qudit, 0)
+    psi = np.tensordot(np.asarray(matrix, dtype=np.complex128), psi, axes=([1], [0]))
+    return np.ascontiguousarray(np.moveaxis(psi, 0, qudit)).reshape(-1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_gate_pass_matches_axis_permutation_oracle(q, real):
+    n = 4
+    if real:
+        gate = build_squashed_transform(q - 1).unitary
+        amps = np.random.default_rng(q).normal(size=q**n)
+        state = StateVector(q, n, amps / np.linalg.norm(amps))
+    else:
+        gate, state = qft_matrix(q), _random_state(q, n, q)
+    for qudit in (0, n // 2, n - 1):
+        out = apply_single_qudit_gate(state, gate, qudit).amps
+        assert out.dtype == (np.float64 if real else np.complex128)
+        assert np.max(np.abs(out - _axis_permutation_gate(state, gate, qudit))) <= 1e-15
+
+
+def test_gate_must_fit_the_state():
+    state = StateVector(2, 2, np.array([1, 0, 0, 0], dtype=complex))
+    with pytest.raises(ValueError):
+        apply_single_qudit_gate(state, np.ones((1, 2)), 0)
+    for qudit in (-1, 2):
+        with pytest.raises(ValueError):
+            apply_single_qudit_gate(state, np.eye(2), qudit)
+
+
+def test_state_size_must_match_its_qudits():
+    with pytest.raises(ValueError):
+        StateVector(2, 3, np.zeros(4))
+
+
+def test_real_circuits_stay_real_until_the_fourier_transform():
+    spec = permanent(2)
+    assert prepare_monomial_superposition(spec, 3).amps.dtype == np.float64
+    assert squashed_circuit_state(spec, 2).amps.dtype == np.float64
+    assert apply_qft(prepare_monomial_superposition(spec, 3)).amps.dtype == np.complex128
+
+
+def _peak_in_states(run, state):
+    # Peak bytes traced while run(state) executes, in units of one state's bytes.
+    tracemalloc.start()
+    try:
+        run(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / state.amps.nbytes
+
+
+def test_gate_pass_allocates_one_state():
+    state, gate = _random_state(3, 9, 53), qft_matrix(3)
+    assert _peak_in_states(lambda s: apply_single_qudit_gate(s, gate, 4), state) <= 1.05
+
+
+def test_qft_holds_two_states():
+    assert _peak_in_states(apply_qft, _random_state(3, 9, 54)) <= 2.05
 
 
 def test_roots_circuit_matches_analytic_table_perm2():
