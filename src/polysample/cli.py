@@ -441,13 +441,13 @@ def cmd_sim_es(args):
     state = apply_qft(prepare_monomial_superposition(spec, args.ell))
     if args.dump_state:
         _dump_state(args.dump_state, state)
-    simulated = measurement_distribution(state)
-    analytic = exact_table_roots(spec, args.ell)
-    tv = tv_distance(simulated, analytic)
-    results = {"table": simulated, "tv_vs_analytic": tv, "norm": state.norm()}
+    norm, simulated = state.norm(), measurement_distribution(state)
+    del state  # so that the analytic table and the TV pass never sit beside it
+    tv = tv_distance(simulated, exact_table_roots(spec, args.ell))
+    results = {"table": simulated, "tv_vs_analytic": tv, "norm": norm}
     checks = [
         _check("tv_vs_analytic", tv <= TV_TOL_SIM, f"TV {tv:.3e} (tolerance {TV_TOL_SIM})"),
-        _check("norm", abs(state.norm() - 1) <= 1e-9, f"norm {state.norm()!r}"),
+        _check("norm", abs(norm - 1) <= 1e-9, f"norm {norm!r}"),
     ]
     return results, checks, simulated.write_csv
 

@@ -2,8 +2,8 @@
 
 States live on ``num_qudits`` qudits of equal dimension; the flat amplitude
 index uses the same mixed-radix convention as probability tables (qudit 0
-most significant). Single-qudit gates are applied by axis permutation, one
-sequential pass per qudit.
+most significant). A single-qudit gate is one matmul over the qudit's axis of
+the reshaped state, in the dtypes given: real circuits stay float64.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ class StateVector:
     qudit_dim: int
     num_qudits: int
     amps: np.ndarray
+
+    def __post_init__(self):
+        if self.amps.size != self.size:
+            raise ValueError(f"{self.amps.size} amplitudes for {self.num_qudits} qudits of dimension {self.qudit_dim}")
 
     @property
     def size(self) -> int:
@@ -58,7 +62,7 @@ def prepare_monomial_superposition(spec: PolynomialSpec, qudit_dim: int) -> Stat
         raise ValueError("qudit dimension must be >= 2")
     size = qudit_dim**spec.n_vars
     check_size("statevector", size)
-    amps = np.zeros(size, dtype=np.complex128)
+    amps = np.zeros(size)
     weight = 1.0 / sqrt(spec.num_monomials)
     for z in range(spec.num_monomials):
         index = mixed_radix_index(monomial_of_index(spec, z), qudit_dim)
@@ -70,11 +74,10 @@ def prepare_monomial_superposition(spec: PolynomialSpec, qudit_dim: int) -> Stat
 
 def apply_single_qudit_gate(state: StateVector, matrix: np.ndarray, qudit: int) -> StateVector:
     q, n = state.qudit_dim, state.num_qudits
-    psi = state.amps.reshape([q] * n)
-    psi = np.moveaxis(psi, qudit, 0)
-    psi = np.tensordot(np.asarray(matrix, dtype=np.complex128), psi, axes=([1], [0]))
-    psi = np.moveaxis(psi, 0, qudit)
-    return StateVector(q, n, np.ascontiguousarray(psi).reshape(-1))
+    if np.shape(matrix) != (q, q) or not 0 <= qudit < n:
+        raise ValueError(f"gate of shape {np.shape(matrix)} on qudit {qudit} of {n} qudits of dimension {q}")
+    psi = state.amps.reshape(q**qudit, q, q ** (n - 1 - qudit))
+    return StateVector(q, n, np.matmul(matrix, psi).reshape(-1))
 
 
 def qft_matrix(radix: int, inverse: bool = False) -> np.ndarray:
@@ -97,8 +100,7 @@ def measurement_distribution(state: StateVector) -> ProbabilityTable:
 
 def run_roots_sampler_circuit(spec: PolynomialSpec, ell: int) -> ProbabilityTable:
     """Monomial superposition on ell-level qudits, Fourier transform, measure."""
-    state = prepare_monomial_superposition(spec, ell)
-    state = apply_qft(state)
+    state = apply_qft(prepare_monomial_superposition(spec, ell))
     state.validate_norm()
     return measurement_distribution(state)
 
@@ -121,13 +123,11 @@ def squashed_measurement_distribution(state: StateVector) -> ProbabilityTable:
     """Class-indexed outcome table of a squashed-circuit state.
 
     The transform's rows are ordered by minus-count while squashed tables
-    index classes by plus-count, so each qudit axis is reversed.
+    index classes by plus-count, so each qudit axis is reversed. That maps digit
+    d to q-1-d at every position, so flat index i goes to q**n - 1 - i.
     """
     state.validate_norm()
-    q, n = state.qudit_dim, state.num_qudits
-    probs = np.abs(state.amps) ** 2
-    flipped = probs.reshape([q] * n)[tuple(slice(None, None, -1) for _ in range(n))]
-    return ProbabilityTable(q, n, np.ascontiguousarray(flipped).reshape(-1))
+    return ProbabilityTable(state.qudit_dim, state.num_qudits, np.abs(state.amps[::-1]) ** 2)
 
 
 def run_squashed_sampler_circuit(
@@ -146,7 +146,6 @@ def run_fold_sampler_circuit(truth_table) -> ProbabilityTable:
     check_size("fold circuit state", len(values), FOLD_CIRCUIT_GUARD)
     if not np.all(np.abs(values) == 1):
         raise ValueError("truth table entries must be +-1")
-    amps = values.astype(np.complex128) / sqrt(len(values))
-    state = apply_qft(StateVector(2, n, amps))
+    state = apply_qft(StateVector(2, n, values / sqrt(len(values))))
     state.validate_norm()
     return measurement_distribution(state)

@@ -490,4 +490,5 @@ def tv_distance(a: ProbabilityTable, b: ProbabilityTable) -> float:
         common = lcm(a.denominator, b.denominator)
         wa, wb = (exact_weights(t.weights, 2 * common) * (common // t.denominator) for t in (a, b))
         return int(np.abs(wa - wb).sum()) / (2 * common)
-    return float(np.abs(a.as_floats() - b.as_floats()).sum() / 2.0)
+    diff = a.as_floats() - b.as_floats()
+    return float(np.abs(diff, out=diff).sum() / 2.0)
