@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import FOLD_CIRCUIT_GUARD, NumericalCheckError, check_size
+from .errors import FOLD_CIRCUIT_GUARD, NumericalCheckError, ShapeMismatchError, check_size
 from .families import PolynomialSpec, monomial_of_index
 from .squashed import SquashedTransform, build_squashed_transform
 from .tables import ProbabilityTable, mixed_radix_index
@@ -28,8 +28,8 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.amps.size != self.size:
-            raise ValueError(f"{self.amps.size} amplitudes for {self.num_qudits} qudits of dimension {self.qudit_dim}")
+        if self.amps.shape != (self.size,):
+            raise ShapeMismatchError(f"state has {self.amps.size} amplitudes; qudit_dim**num_qudits is {self.size}")
 
     @property
     def size(self) -> int:
